@@ -23,6 +23,7 @@ from .errors import (
     InfiniteParabolic,
     MalformedMatrix,
     OutOfEnumeratedRegion,
+    TheoremViolation,
 )
 from .rings import CosineRing
 
@@ -433,7 +434,10 @@ def inversion_set(w: Element) -> InversionSet:
     for j in range(k):
         suffix = word[j + 1 :]
         t = sys._walk(0, tuple(reversed(suffix)) + (word[j],) + suffix)
-        assert t not in seen, "reduced word produced a repeated inversion"
+        if t in seen:
+            raise TheoremViolation(
+                f"reduced word of {w.word_string()!r} produced a repeated inversion"
+            )
         seen.add(t)
         refs.append(Reflection(Element(sys, t)))
     return InversionSet(owner=w, refs=frozenset(refs))
@@ -511,7 +515,10 @@ def longest_element(sys: CoxeterSystem, J: Iterable[int]) -> Element:
                 queue.append(j)
     best = max(seen, key=lambda i: len(sys.words[i]))
     top_len = len(sys.words[best])
-    assert sum(1 for i in seen if len(sys.words[i]) == top_len) == 1
+    if sum(1 for i in seen if len(sys.words[i]) == top_len) != 1:
+        raise TheoremViolation(
+            f"parabolic on {[s + 1 for s in J]} has no unique longest element"
+        )
     return Element(sys, best)
 
 

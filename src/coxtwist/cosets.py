@@ -5,10 +5,16 @@ by twisted generators that preserve length; the chain, escalation and
 domination operations make the structure of those links explicit and check
 the structural guarantees on the fly, raising TheoremViolation with a
 concrete witness if one fails.
+
+Coset facts are computed once per subgroup: the first question about any
+member of a coset walks u * z for every z in H and records the sorted
+members in a partition shared by every later call (coset, min_set,
+is_minimal, connect_minimals, escalation_trace, dominate, all_cosets).
 """
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 
 from . import core
@@ -85,54 +91,129 @@ class DominationResult:
     steps: tuple[DominationStep, ...]
 
 
-def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
-    """Analyze the coset u * H."""
+class _CosetPartition:
+    """The cosets of one subgroup, each recorded on first touch.
+
+    cid[i] is the coset id of element index i, or -1 while its coset is
+    untouched.  Coset c's member indices sit sorted at members[c*h:(c+1)*h];
+    indices follow ShortLex order, hence length, so the first nmin[c] of
+    them are its minimal members.  The partition keeps no reference to its
+    subgroup, so it never closes a reference cycle through it.
+    """
+
+    __slots__ = ("system", "h", "zwords", "cid", "members", "nmin")
+
+    def __init__(self, sub: TwistedSubgroup):
+        self.system = sub.system
+        self.h = sub.order
+        self.zwords = tuple(z.word for z in sub.elements)
+        self.cid = array("i", [-1]) * sub.system.size
+        self.members = array("i")
+        self.nmin = array("i")
+
+    def coset_id(self, i: int) -> int:
+        """Id of the coset of element index i, recording the coset if new.
+
+        A walk that leaves the enumerated ball raises OutOfEnumeratedRegion
+        before anything is recorded.
+        """
+        c = self.cid[i]
+        if c >= 0:
+            return c
+        sys = self.system
+        found = sorted({sys._walk(i, zw) for zw in self.zwords})
+        if len(found) != self.h:
+            raise TheoremViolation(
+                f"coset of {sys.element(i).word_string()!r} has {len(found)} "
+                f"distinct members, not {self.h}"
+            )
+        cid = self.cid
+        for j in found:
+            if cid[j] >= 0:
+                raise TheoremViolation(
+                    f"coset of {sys.element(i).word_string()!r} overlaps the coset "
+                    f"of {sys.element(self.members[cid[j] * self.h]).word_string()!r}"
+                )
+        c = len(self.nmin)
+        for j in found:
+            cid[j] = c
+        self.members.extend(found)
+        words = sys.words
+        low = len(words[found[0]])
+        k = 1
+        while k < self.h and len(words[found[k]]) == low:
+            k += 1
+        self.nmin.append(k)
+        return c
+
+    def min_length(self, c: int) -> int:
+        return len(self.system.words[self.members[c * self.h]])
+
+    def is_min_in(self, c: int, w: Element) -> bool:
+        """Whether w is a minimal member of coset c."""
+        return self.cid[w.index] == c and w.length == self.min_length(c)
+
+
+def _partition(sub: TwistedSubgroup) -> _CosetPartition:
+    part = sub.__dict__.get("_partition_cache")
+    if part is None:
+        part = _CosetPartition(sub)
+        object.__setattr__(sub, "_partition_cache", part)
+    return part
+
+
+def _locate(sub: TwistedSubgroup, u: Element) -> tuple[_CosetPartition, int]:
+    """The subgroup's partition and the id of u's coset in it."""
     if u.system is not sub.system:
         raise ValueError("element and subgroup belong to different systems")
-    members = sorted(core.multiply(u, z) for z in sub.elements)
-    assert len(set(members)) == len(sub.elements)
-    min_len = min(w.length for w in members)
-    mins = tuple(w for w in members if w.length == min_len)
-    min_idx = {w.index for w in mins}
+    part = _partition(sub)
+    return part, part.coset_id(u.index)
+
+
+def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
+    """Analyze the coset u * H."""
+    part, c = _locate(sub, u)
+    sys = sub.system
+    lo = c * part.h
+    members = tuple(Element(sys, i) for i in part.members[lo : lo + part.h])
+    mins = members[: part.nmin[c]]
     edges = []
     for w in mins:
         for g in sub.gens:
             v = core.multiply(w, g.elt)
-            if v.index in min_idx and w.index < v.index:
+            if part.is_min_in(c, v) and w.index < v.index:
                 edges.append((w, v, g))
     edges.sort(key=lambda e: (e[0].index, e[1].index))
     return CosetAnalysis(
         subgroup=sub,
         rep=members[0],
-        members=tuple(members),
+        members=members,
         min_set=mins,
         min_graph=tuple(edges),
     )
 
 
 def min_set(sub: TwistedSubgroup, u: Element) -> tuple[Element, ...]:
-    return coset(sub, u).min_set
+    part, c = _locate(sub, u)
+    lo = c * part.h
+    return tuple(Element(sub.system, i) for i in part.members[lo : lo + part.nmin[c]])
 
 
 def is_minimal(sub: TwistedSubgroup, u: Element) -> bool:
-    return u.length == coset(sub, u).min_length
+    part, c = _locate(sub, u)
+    return u.length == part.min_length(c)
 
 
 def all_cosets(sub: TwistedSubgroup) -> list[CosetAnalysis]:
-    """Partition the whole group into cosets of the subgroup."""
+    """Partition the whole group into cosets of the subgroup, by representative."""
     sys = sub.system
     if not sys.complete:
         raise CapExceeded("coset partition needs a fully enumerated group")
-    seen = bytearray(sys.size)
+    part = _partition(sub)
     out = []
     for i in range(sys.size):
-        if seen[i]:
-            continue
-        analysis = coset(sub, sys.element(i))
-        for w in analysis.members:
-            seen[w.index] = 1
-        out.append(analysis)
-    assert sum(len(a.members) for a in out) == sys.size
+        if part.members[part.coset_id(i) * part.h] == i:
+            out.append(coset(sub, sys.element(i)))
     return out
 
 
@@ -152,22 +233,25 @@ def connect_minimals(sub: TwistedSubgroup, u: Element, v: Element) -> list[Eleme
     minimal set at constant length.
     """
     y = _require_same_coset(sub, u, v)
-    analysis = coset(sub, u)
-    min_idx = {w.index for w in analysis.min_set}
+    part, c = _locate(sub, u)
     for w in (u, v):
-        if w.index not in min_idx:
+        if not part.is_min_in(c, w):
             raise NotMinimal(f"{w.word_string()!r} is not minimal in its coset")
     chain = [u]
     cur = u
     for g in twisted_reduced_word(sub, y):
         cur = core.multiply(cur, g.elt)
-        if cur.length != u.length or cur.index not in min_idx:
+        if not part.is_min_in(c, cur):
             raise TheoremViolation(
                 f"chain from {u.word_string()!r} to {v.word_string()!r} left the "
                 f"minimal set at {cur.word_string()!r}"
             )
         chain.append(cur)
-    assert chain[-1] == v
+    if cur != v:
+        raise TheoremViolation(
+            f"chain from {u.word_string()!r} ended at {cur.word_string()!r}, "
+            f"not {v.word_string()!r}"
+        )
     return chain
 
 
@@ -219,11 +303,10 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
     replace it, when needed, by witness * generator, preferring the shorter
     candidate and breaking ties by ShortLex.
     """
-    analysis = coset(sub, x)
-    min_idx = {w.index for w in analysis.min_set}
-    if x.index in min_idx:
+    part, c = _locate(sub, x)
+    if part.is_min_in(c, x):
         return DominationResult(target=x, base=x, witness=x, steps=())
-    base = analysis.min_set[0]
+    base = Element(x.system, part.members[c * part.h])
     y = core.multiply(core.inverse(base), x)
     witness = base
     cur = base
@@ -259,8 +342,12 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
                 generator=g, prefix=cur, verdict=verdict, witness=witness, replaced=replaced
             )
         )
-    assert cur == x
-    if witness.index not in min_idx or not core.bruhat_leq(witness, x):
+    if cur != x:
+        raise TheoremViolation(
+            f"twisted word from {base.word_string()!r} ended at "
+            f"{cur.word_string()!r}, not {x.word_string()!r}"
+        )
+    if not part.is_min_in(c, witness) or not core.bruhat_leq(witness, x):
         raise TheoremViolation(
             f"constructed witness {witness.word_string()!r} fails the contract "
             f"for {x.word_string()!r}"

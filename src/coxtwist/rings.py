@@ -39,12 +39,14 @@ def _poly_divexact(num, den):
     q = [0] * (len(num) - d)
     for i in range(len(num) - 1, d - 1, -1):
         c, r = divmod(num[i], lead)
-        assert r == 0, "division is not exact"
+        if r:
+            raise ArithmeticError("division is not exact")
         q[i - d] = c
         if c:
             for j, dj in enumerate(den):
                 num[i - d + j] -= c * dj
-    assert not any(num), "nonzero remainder in exact division"
+    if any(num):
+        raise ArithmeticError("nonzero remainder in exact division")
     return tuple(q)
 
 
@@ -70,7 +72,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             num = _poly_divexact(num, cyclotomic_polynomial(d))
-    assert len(num) - 1 == euler_phi(n)
+    if len(num) - 1 != euler_phi(n):
+        raise ArithmeticError(f"cyclotomic polynomial of order {n} has the wrong degree")
     return num
 
 
@@ -90,7 +93,8 @@ def two_cos_minimal_polynomial(m: int) -> tuple[int, ...]:
             for i, c in enumerate(p_cur):
                 g[i] += coeff * c
         p_prev, p_cur = p_cur, _poly_sub(_poly_shift(p_cur), p_prev)
-    assert g[-1] == 1
+    if g[-1] != 1:
+        raise ArithmeticError(f"minimal polynomial of 2cos(pi/{m}) is not monic")
     return tuple(g)
 
 
@@ -183,7 +187,8 @@ class CosineRing:
                 out[self._exp_index[exp]] = 1
                 return tuple(out)
         poly = two_cos_minimal_polynomial(m)
-        assert len(poly) == 2, "irrational cosine missing from ring factors"
+        if len(poly) != 2:
+            raise ValueError(f"irrational 2cos(pi/{m}) is missing from the ring factors")
         return self.from_int(-poly[0])
 
     def mul(self, a, b):

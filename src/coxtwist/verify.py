@@ -280,18 +280,21 @@ def check_fixed_subgroup_equality(sub: TwistedSubgroup, label: str = "") -> Veri
 
 
 def check_coset_partition(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
-    """Cosets of the fixed subgroup tile the group without overlap."""
+    """Cosets of the fixed subgroup tile the group without overlap, and each
+    reported coset equals rep * H recomputed by plain multiplication."""
     sys = sub.system
     analyses = cosets.all_cosets(sub)
     seen: set[int] = set()
     failures = []
     for a in analyses:
-        if len(a.members) != sub.order:
+        got = [w.index for w in a.members]
+        if len(got) != sub.order:
             failures.append((a.rep.word_string(), "size"))
-        overlap = seen.intersection(w.index for w in a.members)
-        if overlap:
+        elif got != sorted(core.multiply(a.rep, z).index for z in sub.elements):
+            failures.append((a.rep.word_string(), "members"))
+        if seen.intersection(got):
             failures.append((a.rep.word_string(), "overlap"))
-        seen.update(w.index for w in a.members)
+        seen.update(got)
     if len(seen) != sys.size:
         failures.append(("partition", "union"))
     return VerificationReport("coset-partition", label, len(analyses), tuple(failures))
@@ -370,49 +373,44 @@ def check_dominated_search(sub: TwistedSubgroup, label: str = "") -> Verificatio
 
 # -- suite runner ---------------------------------------------------------
 
-SUITE_NAMES = (
-    "fixed-subgroup-equality",
-    "generator-parity",
-    "length-additivity",
-    "coset-partition",
-    "bruhat-minimal-equality",
-    "minimal-chains",
-    "step-dichotomy",
-    "dominated-minimal-search",
-    "ascent-implies-bruhat",
-    "equal-length-transfer",
-    "commuting-reflection-inversions",
-    "bruhat-oracle-agreement",
-)
+# Suite name -> check(case, label, seed, corrupt).  Each entry looks its
+# check function up when called, so a wrapper installed on the module
+# attribute is the one that runs.
+_SUITES = {
+    "fixed-subgroup-equality": lambda case, label, seed, corrupt: (
+        check_fixed_subgroup_equality(case.subgroup, label)),
+    "generator-parity": lambda case, label, seed, corrupt: (
+        check_generator_parity(case.subgroup, label)),
+    "length-additivity": lambda case, label, seed, corrupt: (
+        check_prop_additivity(case.subgroup, label)),
+    "coset-partition": lambda case, label, seed, corrupt: (
+        check_coset_partition(case.subgroup, label)),
+    "bruhat-minimal-equality": lambda case, label, seed, corrupt: (
+        check_bruhat_minimal_equality(case.subgroup, label)),
+    "minimal-chains": lambda case, label, seed, corrupt: (
+        check_minimal_chains(case.subgroup, label)),
+    "step-dichotomy": lambda case, label, seed, corrupt: (
+        check_step_dichotomy(case.subgroup, label)),
+    "dominated-minimal-search": lambda case, label, seed, corrupt: (
+        check_dominated_search(case.subgroup, label)),
+    "ascent-implies-bruhat": lambda case, label, seed, corrupt: (
+        check_lemma_long_gen(case.system, case.subgroup, label)),
+    "equal-length-transfer": lambda case, label, seed, corrupt: (
+        check_lemma_corr(case.system, case.subgroup, label)),
+    "commuting-reflection-inversions": lambda case, label, seed, corrupt: (
+        check_lemma_commuting_reflections(case.system, label)),
+    "bruhat-oracle-agreement": lambda case, label, seed, corrupt: (
+        check_oracle_agreement(case.system, label, seed=seed, corrupt=corrupt)),
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_one(name: str, case: RealizedCase, label: str, seed: int, corrupt: str | None) -> VerificationReport:
-    sys, sub = case.system, case.subgroup
-    if name == "fixed-subgroup-equality":
-        return check_fixed_subgroup_equality(sub, label)
-    if name == "generator-parity":
-        return check_generator_parity(sub, label)
-    if name == "length-additivity":
-        return check_prop_additivity(sub, label)
-    if name == "coset-partition":
-        return check_coset_partition(sub, label)
-    if name == "bruhat-minimal-equality":
-        return check_bruhat_minimal_equality(sub, label)
-    if name == "minimal-chains":
-        return check_minimal_chains(sub, label)
-    if name == "step-dichotomy":
-        return check_step_dichotomy(sub, label)
-    if name == "dominated-minimal-search":
-        return check_dominated_search(sub, label)
-    if name == "ascent-implies-bruhat":
-        return check_lemma_long_gen(sys, sub, label)
-    if name == "equal-length-transfer":
-        return check_lemma_corr(sys, sub, label)
-    if name == "commuting-reflection-inversions":
-        return check_lemma_commuting_reflections(sys, label)
-    if name == "bruhat-oracle-agreement":
-        return check_oracle_agreement(sys, label, seed=seed, corrupt=corrupt)
-    raise ValueError(f"unknown suite {name!r}")
+    check = _SUITES.get(name)
+    if check is None:
+        raise ValueError(f"unknown suite {name!r}")
+    return check(case, label, seed, corrupt)
 
 
 def default_config() -> dict:

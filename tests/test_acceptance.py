@@ -5,8 +5,10 @@ single PASS line with the measured details.  Timed tests build their own
 systems so the budget covers the full computation.
 """
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import coxtwist as ct
 from coxtwist import verify
@@ -189,3 +191,14 @@ def test_infinite_bond_orbits_skipped_and_truncation_flagged():
         "PASS infinite-bond-handling: infinite orbit skipped and reported, "
         "truncated enumeration flagged, region escapes raise"
     )
+
+
+def test_package_invariants_survive_python_O():
+    # python -O strips assert statements, so every invariant is a raise
+    package = Path(ct.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
+    print("PASS no-assert-invariants: no assert statement in the package source")

@@ -1,11 +1,14 @@
 """The command line interface, driven through main()."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import coxtwist
 from coxtwist.cli import main
 
 F4_DOC = {"name": "F4 swap", "type": "F4", "theta": [[1, 4], [2, 3]], "cap": 2000}
@@ -163,10 +166,14 @@ def test_missing_subcommand_is_a_usage_error(capsys):
 
 
 def test_module_entry_point(a2_json):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(coxtwist.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "coxtwist", "verify", a2_json],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "seed: 271828"

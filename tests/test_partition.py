@@ -1,0 +1,123 @@
+"""The shared coset partition against recomputation inside the test."""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+import coxtwist as ct
+from coxtwist import cosets, verify
+
+F4_SWAP = {"type": "F4", "theta": [[1, 4], [2, 3]]}
+CASES = [
+    {"type": "A3", "theta": [[1, 3]]},
+    F4_SWAP,
+    {"type": "A5", "theta": [[1, 5], [2, 4]]},
+]
+HYPERBOLIC_534 = {
+    "matrix": [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]],
+    "L": [3, 4],
+    "theta": [[3, 4]],
+    "cap": 2000,
+}
+
+
+def build(doc):
+    return ct.GroupDescription.from_dict(doc).build()
+
+
+def recompute(sub, u):
+    """Member indices of u * H, sorted, and the indices of least length."""
+    members = sorted({ct.multiply(u, z).index for z in sub.elements})
+    sys = sub.system
+    low = min(sys.element(i).length for i in members)
+    return members, [i for i in members if sys.element(i).length == low]
+
+
+def shuffled(sys, seed=7):
+    """Every element, in an order that touches cosets away from rep order."""
+    order = list(sys)
+    random.Random(seed).shuffle(order)
+    return order
+
+
+@pytest.mark.parametrize("doc", CASES, ids=lambda d: d["type"])
+def test_partition_matches_recomputation(doc):
+    case = build(doc)
+    sys, sub = case.system, case.subgroup
+    for u in shuffled(sys):
+        members, mins = recompute(sub, u)
+        a = ct.coset(sub, u)
+        assert [w.index for w in a.members] == members
+        assert [w.index for w in a.min_set] == mins
+        assert [w.index for w in ct.min_set(sub, u)] == mins
+        assert ct.is_minimal(sub, u) == (u.index in mins)
+        witness = ct.dominate(sub, u).witness
+        assert witness.index in mins
+        assert verify.oracle_bruhat(sys, witness, u)
+    reps = [a.rep.index for a in ct.all_cosets(sub)]
+    assert reps == sorted({recompute(sub, u)[0][0] for u in sys})
+
+
+def test_truncated_ball_answers_exactly_or_refuses_without_recording():
+    case = build(HYPERBOLIC_534)
+    sys, sub = case.system, case.subgroup
+    assert not sys.complete
+    part = cosets._partition(sub)
+    answered = refused = 0
+    for u in shuffled(sys):
+        try:
+            expected = recompute(sub, u)
+        except ct.OutOfEnumeratedRegion:
+            expected = None
+        try:
+            minimal = ct.is_minimal(sub, u)
+        except ct.OutOfEnumeratedRegion:
+            assert expected is None
+            assert part.cid[u.index] == -1
+            with pytest.raises(ct.OutOfEnumeratedRegion):
+                ct.min_set(sub, u)
+            with pytest.raises(ct.OutOfEnumeratedRegion):
+                ct.dominate(sub, u)
+            assert part.cid[u.index] == -1
+            refused += 1
+            continue
+        answered += 1
+        c = part.cid[u.index]
+        members = list(part.members[c * part.h : (c + 1) * part.h])
+        mins = [w.index for w in ct.min_set(sub, u)]
+        # without an expectation, the coset was recorded through another
+        # member whose walks stay inside the ball
+        assert u.index in members
+        if expected is not None:
+            assert (members, mins) == expected
+            assert minimal == (u.index in mins)
+    assert answered and refused
+
+
+def test_coset_partition_suite_catches_a_corrupted_partition():
+    case = build({"type": "A3", "theta": [[1, 3]]})
+    sub = case.subgroup
+    assert verify.check_coset_partition(sub, "A3").ok
+    part = cosets._partition(sub)
+    h = part.h
+    # trade the last members of the first two cosets
+    part.members[h - 1], part.members[2 * h - 1] = part.members[2 * h - 1], part.members[h - 1]
+    report = verify.check_coset_partition(sub, "A3")
+    assert report.checked == len(ct.all_cosets(sub))
+    assert {f[1] for f in report.failures} == {"members"}
+
+
+def test_partition_holds_no_reference_cycle():
+    case = build(F4_SWAP)
+    ref = weakref.ref(case.system)
+    gc.disable()
+    try:
+        ct.dominate(case.subgroup, case.system.element(case.system.size - 1))
+        ct.all_cosets(case.subgroup)
+        assert "_partition_cache" in case.subgroup.__dict__
+        del case
+        assert ref() is None
+    finally:
+        gc.enable()
