@@ -4,10 +4,13 @@ A system is built by breadth-first closure from the identity under right
 multiplication by generators, visiting elements in ShortLex order of their
 reduced words (generators ordered by declared position).  The first word
 that reaches an element is therefore its ShortLex-minimal reduced word,
-which is stored as the canonical form.  Element identification during the
-closure uses the faithful geometric reflection representation with exact
-integer arithmetic (see rings.py); the matrices are discarded once the
-multiplication table is complete.
+which is stored as the canonical form.  During the closure an element w is
+identified by the single vector w^-1(rho) of the dual (Tits cone)
+representation, rho being the sum of the fundamental weights; W acts
+simply transitively on the chambers, so distinct elements give distinct
+vectors.  Right multiplication by a generator is one firing of Eriksson's
+numbers game on that vector, in exact integer arithmetic (see rings.py);
+the vectors are discarded once the multiplication table is complete.
 
 Every subsequent operation is a walk over the enumerated table, so answers
 are exact.  A walk that would leave the enumerated region raises
@@ -154,7 +157,6 @@ class CoxeterSystem:
         self.rank = len(generators)
         self._inv = self._compute_inverses()
         self._reflection_cache = None
-        self._bruhat_below = None  # filled lazily by verify.oracle_bruhat
 
     # -- basic access -------------------------------------------------
 
@@ -280,6 +282,9 @@ def _validate_matrix(matrix) -> tuple[tuple, ...]:
 def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> CoxeterSystem:
     """Enumerate the Coxeter system of a bond matrix up to ``cap`` elements.
 
+    Elements are found breadth-first and told apart by their orbit vectors
+    w^-1(rho) in fundamental-weight coordinates over the cosine ring of the
+    finite bonds; multiplying by a generator fires it in the numbers game.
     The result records whether enumeration closed (the full group) or was
     truncated at the cap.  Canonical words, lengths and all multiplication
     answers come from the resulting table.
@@ -299,51 +304,42 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
     ring = CosineRing(finite_orders)
     d = ring.dim
 
-    # column updates for right multiplication by generator i:
-    # col_i -> -col_i, col_j -> col_j + c_ij * col_i for bonded j
-    updates = []
-    for i in range(n):
-        row = []
+    # The state of w is w^-1(rho) in fundamental-weight coordinates, one
+    # ring element of d ints per generator.  Firing s (the numbers game)
+    # maps it to the state of w*s: c_s -> -c_s, and c_j gains
+    # 2cos(pi/m_sj) * c_s for every bonded j (2 for an infinite bond).
+    # Each firing is a list of sparse integer triples, state[dst] +=
+    # coeff * old state[src]; the triples (src, src, -2) negate c_s.
+    basis = [tuple(int(t == u) for t in range(d)) for u in range(d)]
+    fire = []
+    for s in range(n):
+        triples = [(s * d + u, s * d + u, -2) for u in range(d)]
         for j in range(n):
-            if j != i and matrix[i][j] != 2:
-                row.append((j, ring.two_cos(matrix[i][j])))
-        updates.append(row)
+            if j != s and matrix[s][j] != 2:
+                c = ring.two_cos(matrix[s][j])
+                for u in range(d):
+                    for t, k in enumerate(ring.mul(c, basis[u])):
+                        if k:
+                            triples.append((j * d + t, s * d + u, k))
+        fire.append(triples)
 
-    ident = [0] * (n * n * d)
-    for k in range(n):
-        ident[(k * n + k) * d] = 1
-    ident = tuple(ident)
-
-    mul = ring.mul
-
-    def rmul_gen(flat, i):
-        out = list(flat)
-        base_i = i * n * d
-        for j, c in updates[i]:
-            base_j = j * n * d
-            for k in range(n):
-                cell = flat[base_i + k * d : base_i + (k + 1) * d]
-                if any(cell):
-                    add = mul(c, cell)
-                    p = base_j + k * d
-                    for t in range(d):
-                        out[p + t] += add[t]
-        for p in range(base_i, base_i + n * d):
-            out[p] = -flat[p]
-        return tuple(out)
-
+    rho = ring.one * n
     words: list[tuple[int, ...]] = [()]
     table: list[list] = [[None] * n]
-    mats = [ident]
-    seen = {ident: 0}
+    states = [rho]
+    seen = {rho: 0}
     truncated = False
     i = 0
     while i < len(words):
         row = table[i]
+        state = states[i]
         for s in range(n):
             if row[s] is not None:
                 continue
-            f = rmul_gen(mats[i], s)
+            f = list(state)
+            for dst, src, k in fire[s]:
+                f[dst] += k * state[src]
+            f = tuple(f)
             j = seen.get(f)
             if j is None:
                 if len(words) >= cap:
@@ -352,7 +348,7 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
                 j = len(words)
                 seen[f] = j
                 words.append(words[i] + (s,))
-                mats.append(f)
+                states.append(f)
                 table.append([None] * n)
             row[s] = j
             table[j][s] = i
@@ -362,7 +358,7 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
         matrix=matrix,
         generators=generator_names,
         cap=cap,
-        words=[tuple(w) for w in words],
+        words=words,
         table=table,
         complete=not truncated,
     )

@@ -180,7 +180,12 @@ def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
     edges = []
     for w in mins:
         for g in sub.gens:
-            v = core.multiply(w, g.elt)
+            # w = p*q with q in the orbit parabolic and lengths adding, so each
+            # step of the walk from p along q*g is no longer than w*g, which
+            # is a member of this recorded coset: the walk stays in the ball,
+            # where walking g's word from w may leave it
+            dec = core.parabolic_decompose(w, g.orbit)
+            v = core.multiply(dec.prefix, core.multiply(dec.suffix, g.elt))
             if part.is_min_in(c, v) and w.index < v.index:
                 edges.append((w, v, g))
     edges.sort(key=lambda e: (e[0].index, e[1].index))

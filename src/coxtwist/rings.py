@@ -1,12 +1,14 @@
 """Exact integer arithmetic in subrings of R generated by values 2*cos(pi/m).
 
-The geometric reflection representation of a Coxeter group has matrix
-entries that are Z-linear combinations of products of 2*cos(pi/m) over the
-finite bond orders m of the matrix.  Each such value is an algebraic
-integer, so the whole ring is a finitely generated free Z-module and all
-arithmetic stays in plain Python ints.  Elements are represented as dense
-coefficient tuples over a monomial basis; one ring instance is built per
-Coxeter system and reused for every matrix product.
+The numbers game that enumerates a Coxeter group (core.build_system) adds
+multiples 2*cos(pi/m) of one coordinate to another, over the finite bond
+orders m of the matrix, so every coordinate is a Z-linear combination of
+products of those values.  Each such value is an algebraic integer, so the
+whole ring is a finitely generated free Z-module and all arithmetic stays
+in plain Python ints.  Elements are represented as dense coefficient
+tuples over a monomial basis; one ring instance is built per Coxeter
+system, and its products of the bond values with the basis give the
+integer coefficients of the firing rules.
 
 Minimal polynomials of 2*cos(pi/m) are obtained from the cyclotomic
 polynomial of order 2m: if Phi_n(y) has degree D then it is palindromic

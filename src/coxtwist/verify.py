@@ -14,6 +14,7 @@ of oracle answers so that a healthy pipeline must report failures.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 
 from . import core, cosets, twisted
@@ -104,11 +105,17 @@ class VerificationRun:
 # -- Bruhat oracle --------------------------------------------------------
 
 
+# system -> its masks; the masks hold no reference to the system, so an
+# entry goes when its system does.
+_MASKS: weakref.WeakKeyDictionary[CoxeterSystem, list[int]] = weakref.WeakKeyDictionary()
+
+
 def _below_masks(sys: CoxeterSystem) -> list[int]:
     """below[i] is the bitmask of indices u with u <= element i, computed as
     the transitive closure of the reflection-ascent relation."""
-    if sys._bruhat_below is not None:
-        return sys._bruhat_below
+    below = _MASKS.get(sys)
+    if below is not None:
+        return below
     if not sys.complete:
         raise CapExceeded("the Bruhat oracle needs a fully enumerated group")
     ref_words = [r.elt.word for r in core.reflections(sys)]
@@ -122,7 +129,7 @@ def _below_masks(sys: CoxeterSystem) -> list[int]:
             if len(words[j]) < li:
                 mask |= below[j]
         below[i] = mask
-    sys._bruhat_below = below
+    _MASKS[sys] = below
     return below
 
 

@@ -1,6 +1,8 @@
 """Enumeration, canonical words, inversions, Bruhat order, parabolics."""
 
+import hashlib
 import math
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -91,6 +93,93 @@ def test_mixed_bond_parabolics_close_inside_truncated_system():
     assert len(ct.enumerate_ball(sys, [sys.gens()[1], sys.gens()[2]]).elements) == 16
     assert ct.longest_element(sys, [0, 1]).length == 4
     assert ct.longest_element(sys, [1, 2]).length == 8
+
+
+# The enumeration pinned on a fixed ladder: sha256 of
+# repr((words, table, complete)), frozen from the closure that told
+# elements apart by their reflection matrices.  The orbit-vector closure
+# must reproduce it entry for entry.
+E6_MATRIX = (
+    (1, 2, 3, 2, 2, 2),
+    (2, 1, 2, 3, 2, 2),
+    (3, 2, 1, 3, 2, 2),
+    (2, 3, 3, 1, 3, 2),
+    (2, 2, 2, 3, 1, 3),
+    (2, 2, 2, 2, 3, 1),
+)
+LADDER = {
+    "A5": (ct.named_matrix("A5"), ct.DEFAULT_CAP),
+    "B4": (ct.named_matrix("B4"), ct.DEFAULT_CAP),
+    "D5": (ct.named_matrix("D5"), ct.DEFAULT_CAP),
+    "F4": (F4_MATRIX, ct.DEFAULT_CAP),
+    "H3": (ct.named_matrix("H3"), ct.DEFAULT_CAP),
+    "H4": (ct.named_matrix("H4"), ct.DEFAULT_CAP),
+    "I2(7)": (ct.named_matrix("I2(7)"), ct.DEFAULT_CAP),
+    "E6": (E6_MATRIX, ct.DEFAULT_CAP),
+    "5-3-4": (((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 4), (2, 2, 4, 1)), 5000),
+    "affine A2": (((1, 3, 3), (3, 1, 3), (3, 3, 1)), 3000),
+    "inf-3-4": (((1, INF, 3), (INF, 1, 4), (3, 4, 1)), 5000),
+    "4-8": (((1, 4, 2), (4, 1, 8), (2, 8, 1)), 400),
+}
+FROZEN_DIGESTS = {
+    "A5": "8a7f05f46fe5304d5c01adaeff0c7378e8545a772c3c2130fbfef39d9863c6f0",
+    "B4": "dd85925344e14bfdda0c011478762263a0b3c3f7c231a27f46a9f256095a7e8e",
+    "D5": "fe1c5e957b528407a5b7d11b0913ea20153bfef19f4a21ed9a83349afc5c31fb",
+    "F4": "d12bc557fa0e2ff4c2f86fbd50daa53d78477e5dfab8471c4fb7640e60fca699",
+    "H3": "96f7d21f1df807c9d2a52872a99e1d50bd242484de20a1864e0edb6dc4291022",
+    "H4": "48295c347b1502141a360009365d05c8b224f17b4905ddedc647aeada8bef5ba",
+    "I2(7)": "3ce7b379cce1db26a76e0da36085a146e6c26052d80c551d0ab99c2c287912a4",
+    "E6": "3cdf4255a46ffd60f178fd573178b7e53228f45c9d7ef9936d8aed01d1f935bf",
+    "5-3-4": "9e8660b39c05d07c375d504832123151daea5a669773e9a632c89b270575fff1",
+    "affine A2": "14fa01d49f30c20af828b1337daf08d56ddb9a444e3e08f9da71f915158cdb4e",
+    "inf-3-4": "7fef84c1fc9d076456f16316a88418aea9bad923cef712e5c3117cffb816de7d",
+    "4-8": "edba02f9b7d5c9431cad67b63d7d8e48af120731b83af37fc5ce630a6f22339a",
+}
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    return {name: ct.build_system(m, cap=cap) for name, (m, cap) in LADDER.items()}
+
+
+def test_enumeration_matches_frozen_digests(ladder):
+    found = {
+        name: hashlib.sha256(repr((sys.words, sys._table, sys.complete)).encode()).hexdigest()
+        for name, sys in ladder.items()
+    }
+    assert found == FROZEN_DIGESTS
+
+
+def test_finite_tables_satisfy_the_coxeter_relations(ladder):
+    # s^2 = e (reciprocal rows) and (st)^m_st = e, walked from every element
+    finite = [sys for sys in ladder.values() if sys.complete]
+    assert len(finite) == 8
+    for sys in finite:
+        table = sys._table
+        pairs = [(s, t, sys.m(s, t)) for s in range(sys.rank) for t in range(s + 1, sys.rank)]
+        for i, row in enumerate(table):
+            assert all(table[row[s]][s] == i for s in range(sys.rank))
+            for s, t, m in pairs:
+                j = i
+                for _ in range(m):
+                    j = table[table[j][s]][t]
+                assert j == i
+
+
+def test_infinite_balls_count_elements_by_length(ladder):
+    def by_length(sys):
+        counts = Counter(len(w) for w in sys.words)
+        last = len(sys.words[-1])
+        return [counts[k] for k in range(last)]  # the complete lengths
+
+    affine = ladder["affine A2"]
+    assert not affine.complete
+    counts = by_length(affine)
+    assert counts == [1] + [3 * k for k in range(1, len(counts))]
+    assert len(counts) > 40
+    free = dihedral(INF, cap=41)
+    assert by_length(free) == [1] + [2] * 19
+    assert Counter(len(w) for w in free.words)[20] == 2
 
 
 def test_malformed_matrices_rejected():

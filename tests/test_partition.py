@@ -96,6 +96,29 @@ def test_truncated_ball_answers_exactly_or_refuses_without_recording():
     assert answered and refused
 
 
+def test_truncated_min_graphs_match_a_larger_ball():
+    # every coset the cap-2000 ball answers also draws its min-graph, and the
+    # graph is the one the same coset has in a ball ten times larger
+    small = build(HYPERBOLIC_534)
+    big = build({**HYPERBOLIC_534, "cap": 20000})
+
+    def graph(a):
+        return [(u.word, v.word, g.elt.word) for u, v, g in a.min_graph]
+
+    answered = 0
+    for u in small.system:
+        try:
+            ct.is_minimal(small.subgroup, u)
+        except ct.OutOfEnumeratedRegion:
+            continue
+        answered += 1
+        a = ct.coset(small.subgroup, u)
+        b = ct.coset(big.subgroup, ct.element_from_word(big.system, u.word))
+        assert [w.word for w in a.min_set] == [w.word for w in b.min_set]
+        assert graph(a) == graph(b)
+    assert answered == 1159
+
+
 def test_coset_partition_suite_catches_a_corrupted_partition():
     case = build({"type": "A3", "theta": [[1, 3]]})
     sub = case.subgroup
@@ -119,5 +142,20 @@ def test_partition_holds_no_reference_cycle():
         assert "_partition_cache" in case.subgroup.__dict__
         del case
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_oracle_masks_hold_no_reference_cycle():
+    case = build(F4_SWAP)
+    ref = weakref.ref(case.system)
+    cached = len(verify._MASKS)
+    gc.disable()
+    try:
+        assert verify.check_oracle_agreement(case.system, "F4").ok
+        assert len(verify._MASKS) == cached + 1
+        del case
+        assert ref() is None
+        assert len(verify._MASKS) == cached
     finally:
         gc.enable()
