@@ -9,12 +9,8 @@ suites built on independent oracles.
 from .core import (
     DEFAULT_CAP,
     INF,
-    BallResult,
     CoxeterSystem,
     Element,
-    InversionSet,
-    ParabolicDecomposition,
-    Reflection,
     bruhat_leq,
     build_system,
     descents,

@@ -12,14 +12,15 @@ vectors.  Right multiplication by a generator is one firing of Eriksson's
 numbers game on that vector, in exact integer arithmetic (see rings.py);
 the vectors are discarded once the multiplication table is complete.
 
-Every subsequent operation is a walk over the enumerated table, so answers
-are exact.  A walk that would leave the enumerated region raises
-OutOfEnumeratedRegion instead of guessing.
+Every subsequent operation is a walk over that one right-multiplication
+table, so answers are exact.  The Bruhat order lifts through right
+descents and an inverse is found by walking the reversed canonical word
+from the identity, so no second table is kept.  A walk that would leave
+the enumerated region raises OutOfEnumeratedRegion instead of guessing.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -87,55 +88,6 @@ class Element:
         return f"Element({self.word_string()!r})"
 
 
-@dataclass(frozen=True)
-class Reflection:
-    """A conjugate of a generator; always of odd length."""
-
-    elt: Element
-
-    def __lt__(self, other):
-        return self.elt < other.elt
-
-    def __repr__(self):
-        return f"Reflection({self.elt.word_string()!r})"
-
-
-@dataclass(frozen=True)
-class InversionSet:
-    """The reflections t with len(owner * t) < len(owner)."""
-
-    owner: Element
-    refs: frozenset[Reflection]
-
-    def __len__(self):
-        return len(self.refs)
-
-    def __iter__(self):
-        return iter(sorted(self.refs))
-
-    def __contains__(self, item):
-        if isinstance(item, Element):
-            item = Reflection(item)
-        return item in self.refs
-
-
-@dataclass(frozen=True)
-class ParabolicDecomposition:
-    """w = prefix * suffix with prefix in W^J, suffix in W_J, lengths adding."""
-
-    J: frozenset[int]
-    prefix: Element
-    suffix: Element
-
-
-@dataclass(frozen=True)
-class BallResult:
-    """Closure of {e} under right multiplication by a generating set."""
-
-    elements: tuple[Element, ...]
-    complete: bool
-
-
 class CoxeterSystem:
     """An enumerated Coxeter system (W, S).
 
@@ -155,7 +107,6 @@ class CoxeterSystem:
         self._table = table
         self.complete = complete
         self.rank = len(generators)
-        self._inv = self._compute_inverses()
         self._reflection_cache = None
 
     # -- basic access -------------------------------------------------
@@ -203,27 +154,6 @@ class CoxeterSystem:
                 )
             i = nxt
         return i
-
-    def _compute_inverses(self):
-        inv = [0] * len(self.words)
-        for i, w in enumerate(self.words):
-            if i == 0:
-                continue
-            try:
-                inv[i] = self._walk(0, reversed(w))
-            except OutOfEnumeratedRegion:
-                inv[i] = None
-        return inv
-
-    def _inverse_index(self, i: int) -> int:
-        j = self._inv[i]
-        if j is None:
-            raise OutOfEnumeratedRegion("inverse lies outside the enumerated ball")
-        return j
-
-    def _left_mult_index(self, s: int, i: int) -> int:
-        # s * w = (w^-1 * s)^-1
-        return self._inverse_index(self._walk(self._inverse_index(i), (s,)))
 
     def _reflections(self):
         """All reflections inside the enumerated region, by closure under
@@ -323,16 +253,25 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
                             triples.append((j * d + t, s * d + u, k))
         fire.append(triples)
 
+    # An entry still empty when row i fires leads one layer further out
+    # (the shorter neighbours filled theirs when they fired), so a new
+    # vector can only match one of the next layer: `seen` holds that layer
+    # alone, and a state is dropped once its row has fired.
     rho = ring.one * n
     words: list[tuple[int, ...]] = [()]
     table: list[list] = [[None] * n]
     states = [rho]
-    seen = {rho: 0}
+    seen = {}
+    layer = 0
     truncated = False
     i = 0
     while i < len(words):
+        if len(words[i]) > layer:
+            layer += 1
+            seen = {}
         row = table[i]
         state = states[i]
+        states[i] = None
         for s in range(n):
             if row[s] is not None:
                 continue
@@ -387,23 +326,32 @@ def multiply(u: Element, v: Element) -> Element:
 
 
 def inverse(w: Element) -> Element:
-    return Element(w.system, w.system._inverse_index(w.index))
+    """w^-1, by walking the reversed canonical word from the identity."""
+    return Element(w.system, w.system._walk(0, reversed(w.word)))
 
 
 def descents(w: Element, side: str = "right") -> frozenset[int]:
     """Generators s with len(w*s) < len(w) (right) or len(s*w) < len(w) (left)."""
-    sys = w.system
-    if side == "left":
-        return descents(inverse(w), "right")
-    if side != "right":
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    table = sys._table
+    sys = w.system
+    words = sys.words
+    row = sys._table[w.index]
     lw = w.length
     out = []
     for s in range(sys.rank):
-        j = table[w.index][s]
-        # a missing entry means w*s left the ball, hence is longer
-        if j is not None and len(sys.words[j]) < lw:
+        if side == "right":
+            # a missing entry means w*s left the ball, hence is longer
+            j = row[s]
+        else:
+            # if s is a left descent, every step of the walk s*w[:k] is
+            # shorter than w or is w itself, so the walk stays in the ball;
+            # leaving it means s*w is longer
+            try:
+                j = sys._walk(0, (s, *w.word))
+            except OutOfEnumeratedRegion:
+                j = None
+        if j is not None and len(words[j]) < lw:
             out.append(s)
     return frozenset(out)
 
@@ -413,19 +361,20 @@ def is_reflection(w: Element) -> bool:
     return w.index in found
 
 
-def reflections(sys: CoxeterSystem) -> tuple[Reflection, ...]:
+def reflections(sys: CoxeterSystem) -> tuple[Element, ...]:
     """All reflections in the enumerated region, in ShortLex order."""
     ordered, _ = sys._reflections()
-    return tuple(Reflection(Element(sys, i)) for i in ordered)
+    return tuple(Element(sys, i) for i in ordered)
 
 
-def inversion_set(w: Element) -> InversionSet:
-    """N(w) computed from the canonical word: for word a_1..a_k the member
-    reflections are a_k..a_(j+1) a_j a_(j+1)..a_k for each position j."""
+def inversion_set(w: Element) -> tuple[Element, ...]:
+    """N(w), the reflections t with len(w*t) < len(w), in ShortLex order.
+
+    Computed from the canonical word: for word a_1..a_k the members are
+    a_k..a_(j+1) a_j a_(j+1)..a_k for each position j."""
     sys = w.system
     word = w.word
     k = len(word)
-    refs = []
     seen = set()
     for j in range(k):
         suffix = word[j + 1 :]
@@ -435,37 +384,50 @@ def inversion_set(w: Element) -> InversionSet:
                 f"reduced word of {w.word_string()!r} produced a repeated inversion"
             )
         seen.add(t)
-        refs.append(Reflection(Element(sys, t)))
-    return InversionSet(owner=w, refs=frozenset(refs))
+    return tuple(Element(sys, t) for t in sorted(seen))
 
 
 def bruhat_leq(u: Element, w: Element) -> bool:
-    """Strong Bruhat order comparison by left-descent lifting."""
+    """Strong Bruhat order comparison by right-descent lifting.
+
+    For a right descent s of w, u <= w iff min(u, u*s) <= w*s
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7).  Both
+    steps read the right-multiplication table and only ever shorten, so the
+    comparison stays inside a truncated ball and needs no inverse.
+    """
     _same_system(u, w)
     sys = u.system
-    words = sys.words
+    table = sys._table
+    rank = sys.rank
     iu, iw = u.index, w.index
-    lu, lw = len(words[iu]), len(words[iw])
+    lu, lw = len(sys.words[iu]), len(sys.words[iw])
     while True:
         if iu == iw:
             return True
         if lu >= lw:
             return False
-        # smallest left descent of w; w != e here since lw > lu >= 0
-        for s in range(sys.rank):
-            sw = sys._left_mult_index(s, iw)
-            if len(words[sw]) < lw:
+        # smallest right descent of w; indices follow ShortLex order, so a
+        # neighbour with a smaller index is the shorter one
+        row = table[iw]
+        for s in range(rank):
+            ws = row[s]
+            if ws is not None and ws < iw:
                 break
-        else:  # pragma: no cover - impossible for w != e
-            raise AssertionError("nonidentity element with no left descent")
-        iw, lw = sw, lw - 1
-        su = sys._left_mult_index(s, iu)
-        if len(words[su]) < lu:
-            iu, lu = su, lu - 1
+        else:
+            raise TheoremViolation(
+                f"nonidentity element {Element(sys, iw).word_string()!r} "
+                "has no right descent"
+            )
+        iw, lw = ws, lw - 1
+        # a missing entry means u*s left the ball, hence is longer
+        us = table[iu][s]
+        if us is not None and us < iu:
+            iu, lu = us, lu - 1
 
 
-def parabolic_decompose(w: Element, J: Iterable[int]) -> ParabolicDecomposition:
-    """Split w = prefix * suffix with suffix in W_J and prefix J-descent-free."""
+def parabolic_decompose(w: Element, J: Iterable[int]) -> tuple[Element, Element]:
+    """Split w = prefix * suffix with suffix in W_J, prefix J-descent-free
+    and lengths adding; returns (prefix, suffix)."""
     sys = w.system
     J = frozenset(J)
     for s in J:
@@ -487,7 +449,7 @@ def parabolic_decompose(w: Element, J: Iterable[int]) -> ParabolicDecomposition:
             break
     suffix_word = tuple(reversed(stripped))
     suffix = Element(sys, sys._walk(0, suffix_word))
-    return ParabolicDecomposition(J=J, prefix=Element(sys, p), suffix=suffix)
+    return Element(sys, p), suffix
 
 
 def longest_element(sys: CoxeterSystem, J: Iterable[int]) -> Element:
@@ -518,11 +480,14 @@ def longest_element(sys: CoxeterSystem, J: Iterable[int]) -> Element:
     return Element(sys, best)
 
 
-def enumerate_ball(sys: CoxeterSystem, gens: Iterable[Element], cap: int | None = None) -> BallResult:
-    """Closure of {e} under right multiplication by ``gens``.
+def enumerate_ball(
+    sys: CoxeterSystem, gens: Iterable[Element], cap: int | None = None
+) -> tuple[tuple[Element, ...], bool]:
+    """Closure of {e} under right multiplication by ``gens``, as
+    (elements in ShortLex order, complete).
 
     Truncation (either by ``cap`` or by leaving the system's enumerated
-    region) is flagged on the result, never raised.
+    region) is flagged by ``complete`` being False, never raised.
     """
     if cap is None:
         cap = sys.cap
@@ -546,5 +511,4 @@ def enumerate_ball(sys: CoxeterSystem, gens: Iterable[Element], cap: int | None 
                     continue
                 seen.add(j)
                 queue.append(j)
-    elements = tuple(Element(sys, i) for i in sorted(seen))
-    return BallResult(elements=elements, complete=complete)
+    return tuple(Element(sys, i) for i in sorted(seen)), complete

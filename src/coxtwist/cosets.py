@@ -184,8 +184,8 @@ def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
             # step of the walk from p along q*g is no longer than w*g, which
             # is a member of this recorded coset: the walk stays in the ball,
             # where walking g's word from w may leave it
-            dec = core.parabolic_decompose(w, g.orbit)
-            v = core.multiply(dec.prefix, core.multiply(dec.suffix, g.elt))
+            p, q = core.parabolic_decompose(w, g.orbit)
+            v = core.multiply(p, core.multiply(q, g.elt))
             if part.is_min_in(c, v) and w.index < v.index:
                 edges.append((w, v, g))
     edges.sort(key=lambda e: (e[0].index, e[1].index))

@@ -174,8 +174,8 @@ def enumerate_fixed_subgroup(theta: DiagramAutomorphism, cap: int | None = None)
     """Close the twisted generators into the full fixed subgroup."""
     sys = theta.system
     gens = twisted_generators(theta)
-    ball = core.enumerate_ball(sys, [g.elt for g in gens], cap=cap)
-    if not ball.complete:
+    elements, complete = core.enumerate_ball(sys, [g.elt for g in gens], cap=cap)
+    if not complete:
         raise CapExceeded(
             "fixed subgroup did not close within "
             f"{cap if cap is not None else sys.cap} elements"
@@ -185,7 +185,7 @@ def enumerate_fixed_subgroup(theta: DiagramAutomorphism, cap: int | None = None)
         theta=theta,
         gens=tuple(gens),
         skipped_orbits=skipped_orbits(theta),
-        elements=ball.elements,
+        elements=elements,
     )
 
 

@@ -118,7 +118,7 @@ def _below_masks(sys: CoxeterSystem) -> list[int]:
         return below
     if not sys.complete:
         raise CapExceeded("the Bruhat oracle needs a fully enumerated group")
-    ref_words = [r.elt.word for r in core.reflections(sys)]
+    ref_words = [t.word for t in core.reflections(sys)]
     words = sys.words
     below = [0] * sys.size
     for i in range(sys.size):
@@ -170,7 +170,7 @@ def check_oracle_agreement(
 
 def check_lemma_commuting_reflections(sys: CoxeterSystem, label: str = "") -> VerificationReport:
     """Distinct commuting reflections never invert each other."""
-    refs = [r.elt for r in core.reflections(sys)]
+    refs = core.reflections(sys)
     checked = 0
     failures = []
     for a in range(len(refs)):
@@ -268,13 +268,13 @@ def check_fixed_subgroup_equality(sub: TwistedSubgroup, label: str = "") -> Veri
     sys = sub.system
     theta = sub.theta
     gen_elts = [sys.element(sys._table[0][s]) for s in sorted(theta.L)]
-    ball = core.enumerate_ball(sys, gen_elts)
-    if not ball.complete:
+    ball, complete = core.enumerate_ball(sys, gen_elts)
+    if not complete:
         raise CapExceeded("W_L did not close within the enumerated region")
     failures = []
     member = sub._index_set
     ball_idx = set()
-    for w in ball.elements:
+    for w in ball:
         ball_idx.add(w.index)
         if twisted.is_fixed(theta, w) != (w.index in member):
             failures.append((w.word_string(),))
@@ -282,7 +282,7 @@ def check_fixed_subgroup_equality(sub: TwistedSubgroup, label: str = "") -> Veri
         if z.index not in ball_idx:
             failures.append((z.word_string(),))
     return VerificationReport(
-        "fixed-subgroup-equality", label, len(ball.elements), tuple(failures)
+        "fixed-subgroup-equality", label, len(ball), tuple(failures)
     )
 
 

@@ -53,3 +53,24 @@ def a3_sub(a3):
 def from_digits(sys, digits):
     """Element of a compact digit string of 1-based letters, e.g. '42312342'."""
     return ct.element_from_word(sys, [int(c) - 1 for c in digits])
+
+
+def down_set(w):
+    """Indices of the Bruhat interval [e, w], by the subword property.
+
+    Closes {w} under deleting one letter of a canonical word wherever that
+    drops the length by exactly one; each covered element is reached so
+    (chain property).  Every walk is shorter than w, so it stays inside a
+    truncated ball.  Independent of core.bruhat_leq.
+    """
+    sys = w.system
+    found = {w.index}
+    queue = [w.index]
+    for i in queue:
+        word = sys.words[i]
+        for k in range(len(word)):
+            j = ct.element_from_word(sys, word[:k] + word[k + 1 :]).index
+            if len(sys.words[j]) == len(word) - 1 and j not in found:
+                found.add(j)
+                queue.append(j)
+    return found

@@ -178,8 +178,8 @@ def test_infinite_bond_orbits_skipped_and_truncation_flagged():
     sub = ct.enumerate_fixed_subgroup(theta)
     assert sub.skipped_orbits == ((0, 1),)
     assert sub.order == 1
-    ball = ct.enumerate_ball(sys, sys.gens())
-    assert not ball.complete
+    _, complete = ct.enumerate_ball(sys, sys.gens())
+    assert not complete
     try:
         ct.element_from_word(sys, (0, 1) * 30)
     except ct.OutOfEnumeratedRegion:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -13,7 +14,7 @@ from coxtwist import (
     MalformedMatrix,
     OutOfEnumeratedRegion,
 )
-from conftest import F4_MATRIX, a_system, dihedral
+from conftest import F4_MATRIX, a_system, dihedral, down_set
 
 import permutation_models as pm
 
@@ -89,8 +90,8 @@ def test_mixed_bond_parabolics_close_inside_truncated_system():
     # still close with the right dihedral orders
     sys = ct.build_system(((1, 4, 2), (4, 1, 8), (2, 8, 1)), cap=400)
     assert not sys.complete
-    assert len(ct.enumerate_ball(sys, [sys.gens()[0], sys.gens()[1]]).elements) == 8
-    assert len(ct.enumerate_ball(sys, [sys.gens()[1], sys.gens()[2]]).elements) == 16
+    assert len(ct.enumerate_ball(sys, [sys.gens()[0], sys.gens()[1]])[0]) == 8
+    assert len(ct.enumerate_ball(sys, [sys.gens()[1], sys.gens()[2]])[0]) == 16
     assert ct.longest_element(sys, [0, 1]).length == 4
     assert ct.longest_element(sys, [1, 2]).length == 8
 
@@ -303,6 +304,30 @@ def test_descents_match_model():
         ct.descents(sys.identity, "sideways")
 
 
+# Truncated balls with the larger ball that holds every element one longer
+# than any of theirs; canonical words and indices agree on the smaller one.
+TRUNCATED = {
+    "5-3-4": (LADDER["5-3-4"][0], 2000, 5000),
+    "affine A2": (LADDER["affine A2"][0], 300, 3000),
+}
+
+
+@pytest.mark.parametrize("name", TRUNCATED)
+def test_left_descents_answer_every_element_of_a_truncated_ball(name):
+    matrix, cap, big_cap = TRUNCATED[name]
+    sys = ct.build_system(matrix, cap=cap)
+    big = ct.build_system(matrix, cap=big_cap)
+    assert not sys.complete
+    assert big.words[: sys.size] == sys.words
+    assert len(big.words[-1]) > len(sys.words[-1]) + 1
+    for w in sys:
+        expected = {
+            s for s in range(sys.rank)
+            if ct.element_from_word(big, (s, *w.word)).length < w.length
+        }
+        assert ct.descents(w, "left") == expected
+
+
 def test_descents_on_truncated_boundary():
     # missing table entries mean the product grew longer, hence no descent
     sys = dihedral(INF, cap=10)
@@ -318,7 +343,8 @@ def test_reflections_match_transpositions():
     sys = a_system(4)
     refs = ct.reflections(sys)
     assert len(refs) == 6
-    assert {element_perm(t.elt) for t in refs} == set(pm.all_transpositions(4))
+    assert {element_perm(t) for t in refs} == set(pm.all_transpositions(4))
+    assert list(refs) == sorted(refs)
     for w in sys:
         assert ct.is_reflection(w) == (element_perm(w) in pm.all_transpositions(4))
 
@@ -343,7 +369,7 @@ def test_inversion_set_matches_model():
         p = element_perm(w)
         inv = ct.inversion_set(w)
         assert len(inv) == w.length
-        got = {element_perm(t.elt) for t in inv}
+        got = {element_perm(t) for t in inv}
         expected = {
             pm.transposition(4, a, b)
             for a in range(4)
@@ -361,7 +387,6 @@ def test_inversion_set_extremes_and_membership():
     assert set(full) == set(ct.reflections(sys))
     s = sys.gens()[0]
     assert s in ct.inversion_set(s)
-    assert ct.Reflection(s) in ct.inversion_set(s)
     assert s not in ct.inversion_set(sys.gens()[1])
     listed = list(full)
     assert listed == sorted(listed)
@@ -438,6 +463,24 @@ def test_bruhat_order_axioms_f4(f4):
                     assert ct.bruhat_leq(u, w)
 
 
+@pytest.mark.parametrize("name", TRUNCATED)
+def test_bruhat_answers_inside_a_truncated_ball(name):
+    # w from the last complete layer and the last (partial) one, against
+    # every enumerated u; none of these comparisons may refuse
+    matrix, cap, _ = TRUNCATED[name]
+    sys = ct.build_system(matrix, cap=cap)
+    assert not sys.complete
+    last = len(sys.words[-1])
+    rng = random.Random(11)
+    sample = []
+    for k in (last - 1, last):
+        layer = [w for w in sys if w.length == k]
+        sample += rng.sample(layer, 6)
+    for w in sample:
+        below = down_set(w)
+        assert [u.index for u in sys if ct.bruhat_leq(u, w)] == sorted(below)
+
+
 # -- parabolic decomposition and longest elements ---------------------------
 
 
@@ -452,20 +495,19 @@ def subsets(it):
 def test_parabolic_decomposition_exhaustive():
     sys = a_system(4)
     for J in subsets(range(3)):
-        members = ct.enumerate_ball(sys, [sys.gens()[s] for s in J]).elements
+        members, _ = ct.enumerate_ball(sys, [sys.gens()[s] for s in J])
         member_idx = {w.index for w in members}
         for w in sys:
-            d = ct.parabolic_decompose(w, J)
-            assert d.J == J
-            assert ct.multiply(d.prefix, d.suffix) == w
-            assert d.prefix.length + d.suffix.length == w.length
-            assert set(d.suffix.word) <= set(J)
-            assert not (ct.descents(d.prefix) & J)
+            prefix, suffix = ct.parabolic_decompose(w, J)
+            assert ct.multiply(prefix, suffix) == w
+            assert prefix.length + suffix.length == w.length
+            assert set(suffix.word) <= set(J)
+            assert not (ct.descents(prefix) & J)
             # prefix is the unique shortest element of the coset w * W_J
             coset_lengths = [ct.multiply(w, z).length for z in members]
-            assert d.prefix.length == min(coset_lengths)
-            assert coset_lengths.count(d.prefix.length) == 1
-            assert d.suffix.index in member_idx
+            assert prefix.length == min(coset_lengths)
+            assert coset_lengths.count(prefix.length) == 1
+            assert suffix.index in member_idx
 
 
 def test_parabolic_decompose_rejects_bad_indices():
@@ -512,23 +554,22 @@ def test_longest_element_infinite_parabolic():
 
 def test_enumerate_ball_full_and_parabolic():
     sys = a_system(4)
-    full = ct.enumerate_ball(sys, sys.gens())
-    assert full.complete and len(full.elements) == 24
-    sub = ct.enumerate_ball(sys, [sys.gens()[0], sys.gens()[1]])
-    assert sub.complete and len(sub.elements) == 6
-    assert all(set(w.word) <= {0, 1} for w in sub.elements)
-    listed = list(sub.elements)
-    assert listed == sorted(listed)
+    full, complete = ct.enumerate_ball(sys, sys.gens())
+    assert complete and len(full) == 24
+    sub, complete = ct.enumerate_ball(sys, [sys.gens()[0], sys.gens()[1]])
+    assert complete and len(sub) == 6
+    assert all(set(w.word) <= {0, 1} for w in sub)
+    assert list(sub) == sorted(sub)
 
 
 def test_enumerate_ball_cap_and_region_truncation():
     sys = a_system(4)
-    capped = ct.enumerate_ball(sys, sys.gens(), cap=10)
-    assert not capped.complete and len(capped.elements) == 10
+    capped, complete = ct.enumerate_ball(sys, sys.gens(), cap=10)
+    assert not complete and len(capped) == 10
     trunc = dihedral(INF, cap=10)
-    ball = ct.enumerate_ball(trunc, trunc.gens())
-    assert not ball.complete
-    assert len(ball.elements) == 10
+    ball, complete = ct.enumerate_ball(trunc, trunc.gens())
+    assert not complete
+    assert len(ball) == 10
     with pytest.raises(ValueError):
         ct.enumerate_ball(sys, [trunc.gens()[0]])
 
