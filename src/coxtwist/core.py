@@ -13,10 +13,13 @@ numbers game on that vector, in exact integer arithmetic (see rings.py);
 the vectors are discarded once the multiplication table is complete.
 
 Every subsequent operation is a walk over that one right-multiplication
-table, so answers are exact.  The Bruhat order lifts through right
-descents and an inverse is found by walking the reversed canonical word
-from the identity, so no second table is kept.  A walk that would leave
-the enumerated region raises OutOfEnumeratedRegion instead of guessing.
+table, so answers are exact.  The table entry w*s of the last letter s of
+w's canonical word is the element whose canonical word drops that letter,
+so the Bruhat order lifts through right descents by reading w's word from
+the end, one letter per step.  An inverse is found by walking the reversed
+canonical word from the identity, so no second table is kept.  A walk that
+would leave the enumerated region raises OutOfEnumeratedRegion instead of
+guessing.
 """
 from __future__ import annotations
 
@@ -264,8 +267,10 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
     seen = {}
     layer = 0
     truncated = False
-    i = 0
-    while i < len(words):
+    # iterating over the indices as they were created keeps one int object
+    # per index in the table
+    queue = [0]
+    for i in queue:
         if len(words[i]) > layer:
             layer += 1
             seen = {}
@@ -289,9 +294,9 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
                 words.append(words[i] + (s,))
                 states.append(f)
                 table.append([None] * n)
+                queue.append(j)
             row[s] = j
             table[j][s] = i
-        i += 1
 
     return CoxeterSystem(
         matrix=matrix,
@@ -391,38 +396,31 @@ def bruhat_leq(u: Element, w: Element) -> bool:
     """Strong Bruhat order comparison by right-descent lifting.
 
     For a right descent s of w, u <= w iff min(u, u*s) <= w*s
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7).  Both
-    steps read the right-multiplication table and only ever shorten, so the
-    comparison stays inside a truncated ball and needs no inverse.
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7).  The
+    last letter of a canonical word is such a descent, and dropping it
+    leaves the canonical word of w*s, so the comparison reads w's word from
+    the end, one letter per step.  Both steps read the right-multiplication
+    table and only ever shorten, so the comparison stays inside a truncated
+    ball and needs no inverse.
     """
     _same_system(u, w)
     sys = u.system
     table = sys._table
-    rank = sys.rank
     iu, iw = u.index, w.index
-    lu, lw = len(sys.words[iu]), len(sys.words[iw])
-    while True:
-        if iu == iw:
-            return True
+    word = sys.words[iw]
+    lu, lw = len(sys.words[iu]), len(word)
+    while iu != iw:
         if lu >= lw:
             return False
-        # smallest right descent of w; indices follow ShortLex order, so a
-        # neighbour with a smaller index is the shorter one
-        row = table[iw]
-        for s in range(rank):
-            ws = row[s]
-            if ws is not None and ws < iw:
-                break
-        else:
-            raise TheoremViolation(
-                f"nonidentity element {Element(sys, iw).word_string()!r} "
-                "has no right descent"
-            )
-        iw, lw = ws, lw - 1
-        # a missing entry means u*s left the ball, hence is longer
+        lw -= 1
+        s = word[lw]
+        iw = table[iw][s]
+        # a missing entry means u*s left the ball, hence is longer; indices
+        # follow ShortLex order, so a smaller index is the shorter neighbour
         us = table[iu][s]
         if us is not None and us < iu:
             iu, lu = us, lu - 1
+    return True
 
 
 def parabolic_decompose(w: Element, J: Iterable[int]) -> tuple[Element, Element]:

@@ -10,6 +10,14 @@ Coset facts are computed once per subgroup: the first question about any
 member of a coset walks u * z for every z in H and records the sorted
 members in a partition shared by every later call (coset, min_set,
 is_minimal, connect_minimals, escalation_trace, dominate, all_cosets).
+Twisted reduced words come from the subgroup's memo in twisted.py, each
+stripped and checked once.
+
+coset and dominate multiply a member w by a twisted generator g as
+p * (q * g), where w = p * q splits off the part q of w in g's orbit
+parabolic: every step of that walk is no longer than w * g, which belongs
+to the recorded coset, so inside a truncated ball the walk never leaves
+the enumerated region, where walking g's word from w may.
 """
 from __future__ import annotations
 
@@ -170,6 +178,33 @@ def _locate(sub: TwistedSubgroup, u: Element) -> tuple[_CosetPartition, int]:
     return part, part.coset_id(u.index)
 
 
+def _times(sys: core.CoxeterSystem, i: int, g: TwistedGenerator) -> int:
+    """Index of element i times g, walked as p*(q*g).
+
+    Stripping right descents in g's orbit from i leaves i = p*q, with q in
+    the orbit parabolic and p free of descents in it, so lengths add along
+    p times any element of that parabolic: no step is longer than i*g.  The
+    same letters stripped from g, an involution, leave r = g*q^-1, whose
+    reversed canonical word spells q*g.
+    """
+    table = sys._table
+    p = i
+    r = g.elt.index
+    while True:
+        row = table[p]
+        for s in g.orbit:
+            j = row[s]
+            # indices follow ShortLex order: a smaller neighbour is shorter
+            if j is not None and j < p:
+                p = j
+                # r stays in the orbit parabolic, which g closes in the ball
+                r = table[r][s]
+                break
+        else:
+            break
+    return sys._walk(p, reversed(sys.words[r]))
+
+
 def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
     """Analyze the coset u * H."""
     part, c = _locate(sub, u)
@@ -180,12 +215,9 @@ def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
     edges = []
     for w in mins:
         for g in sub.gens:
-            # w = p*q with q in the orbit parabolic and lengths adding, so each
-            # step of the walk from p along q*g is no longer than w*g, which
-            # is a member of this recorded coset: the walk stays in the ball,
-            # where walking g's word from w may leave it
-            p, q = core.parabolic_decompose(w, g.orbit)
-            v = core.multiply(p, core.multiply(q, g.elt))
+            # w*g is a member of this recorded coset, so the walk stays in
+            # the ball
+            v = Element(sys, _times(sys, w.index, g))
             if part.is_min_in(c, v) and w.index < v.index:
                 edges.append((w, v, g))
     edges.sort(key=lambda e: (e[0].index, e[1].index))
@@ -311,13 +343,16 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
     part, c = _locate(sub, x)
     if part.is_min_in(c, x):
         return DominationResult(target=x, base=x, witness=x, steps=())
-    base = Element(x.system, part.members[c * part.h])
+    sys = x.system
+    base = Element(sys, part.members[c * part.h])
     y = core.multiply(core.inverse(base), x)
     witness = base
     cur = base
     steps = []
     for g in twisted_reduced_word(sub, y):
-        nxt = core.multiply(cur, g.elt)
+        # cur*g and witness*g are members of the recorded coset, so the
+        # walks stay in the ball
+        nxt = Element(sys, _times(sys, cur.index, g))
         if nxt.length > cur.length:
             verdict = StepVerdict.BRUHAT_UP
             replaced = False
@@ -326,7 +361,7 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
             candidates = []
             if core.bruhat_leq(witness, nxt):
                 candidates.append((witness, False))
-            moved = core.multiply(witness, g.elt)
+            moved = Element(sys, _times(sys, witness.index, g))
             if moved.length <= witness.length and core.bruhat_leq(moved, nxt):
                 candidates.append((moved, True))
             if not candidates:

@@ -189,34 +189,61 @@ def enumerate_fixed_subgroup(theta: DiagramAutomorphism, cap: int | None = None)
     )
 
 
+def _reduced_words(sub: TwistedSubgroup) -> dict[int, tuple[TwistedGenerator, ...]]:
+    """The subgroup's memo of twisted reduced words, by element index.
+
+    It holds generators and indices only, never the subgroup, so it closes
+    no reference cycle through it.
+    """
+    memo = sub.__dict__.get("_reduced_word_cache")
+    if memo is None:
+        memo = {0: ()}
+        object.__setattr__(sub, "_reduced_word_cache", memo)
+    return memo
+
+
 def twisted_reduced_word(sub: TwistedSubgroup, z: Element) -> list[TwistedGenerator]:
     """Greedy reduced word for z over the twisted generators.
 
     Strips, at each step, the first generator in declared order that lowers
     the length; each strip must lower it by exactly the generator's length.
+    The word of z is the word of z*g followed by g, for that first g, so
+    each subgroup memoizes the words by element index, filled along the
+    strip chain on first touch: each element is stripped and checked once.
     """
     if z not in sub:
         raise NotFixed(f"{z.word_string()!r} is not in the fixed subgroup")
-    stripped = []
-    cur = z
-    while cur.length:
-        for g in sub.gens:
-            nxt = core.multiply(cur, g.elt)
-            if nxt.length < cur.length:
-                if nxt.length != cur.length - g.elt.length:
-                    raise TheoremViolation(
-                        f"descent by {g.elt.word_string()!r} at {cur.word_string()!r} "
-                        "dropped the length by less than the generator length"
-                    )
-                stripped.append(g)
-                cur = nxt
-                break
-        else:
-            raise TheoremViolation(
-                f"nonidentity fixed element {cur.word_string()!r} has no descent"
-            )
-    stripped.reverse()
-    return stripped
+    memo = _reduced_words(sub)
+    word = memo.get(z.index)
+    if word is None:
+        sys = sub.system
+        chain = []
+        i = z.index
+        while i not in memo:
+            li = len(sys.words[i])
+            for g in sub.gens:
+                j = sys._walk(i, g.elt.word)
+                lj = len(sys.words[j])
+                if lj < li:
+                    if lj != li - g.elt.length:
+                        raise TheoremViolation(
+                            f"descent by {g.elt.word_string()!r} at "
+                            f"{sys.element(i).word_string()!r} "
+                            "dropped the length by less than the generator length"
+                        )
+                    chain.append((i, g))
+                    i = j
+                    break
+            else:
+                raise TheoremViolation(
+                    f"nonidentity fixed element {sys.element(i).word_string()!r} "
+                    "has no descent"
+                )
+        word = memo[i]
+        for i, g in reversed(chain):
+            word += (g,)
+            memo[i] = word
+    return list(word)
 
 
 def twisted_length(sub: TwistedSubgroup, z: Element) -> int:

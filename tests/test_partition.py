@@ -8,6 +8,7 @@ import pytest
 
 import coxtwist as ct
 from coxtwist import cosets, verify
+from conftest import down_set
 
 F4_SWAP = {"type": "F4", "theta": [[1, 4], [2, 3]]}
 CASES = [
@@ -116,6 +117,24 @@ def test_truncated_min_graphs_match_a_larger_ball():
         b = ct.coset(big.subgroup, ct.element_from_word(big.system, u.word))
         assert [w.word for w in a.min_set] == [w.word for w in b.min_set]
         assert graph(a) == graph(b)
+    assert answered == 1159
+
+
+def test_dominate_answers_every_recorded_coset_of_a_truncated_ball():
+    # cur * g and witness * g are members of a recorded coset, so the walks
+    # that reach them stay inside the ball
+    case = build(HYPERBOLIC_534)
+    sys, sub = case.system, case.subgroup
+    answered = 0
+    for x in sys:
+        try:
+            ct.is_minimal(sub, x)
+        except ct.OutOfEnumeratedRegion:
+            continue
+        answered += 1
+        witness = ct.dominate(sub, x).witness
+        assert witness in ct.min_set(sub, x)
+        assert witness.index in down_set(x)
     assert answered == 1159
 
 

@@ -1,9 +1,11 @@
 """Property tests on random Coxeter matrices of rank at most 4, enumerated
-as small (often truncated) balls."""
+as small (often truncated) balls, and on the fixed subgroups of the swap of
+generators 1 and 2 in matrices symmetric under it."""
 
 import math
+import random
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import coxtwist as ct
@@ -40,3 +42,66 @@ def test_inverse_and_left_descents(sys):
             continue
         assert ct.multiply(inv, w) == sys.identity
         assert ct.descents(w, "left") == ct.descents(inv)
+
+
+def swap_case(rows, L, rng, cap=ct.DEFAULT_CAP):
+    """The fixed subgroup of swapping generators 1 and 2 on L, and its
+    elements in an order shuffled by rng."""
+    sys = ct.build_system(rows, cap=cap)
+    sub = ct.enumerate_fixed_subgroup(ct.validate_automorphism(sys, L, {0: 1, 1: 0}))
+    order = list(sub.elements)
+    rng.shuffle(order)
+    return sub, order
+
+
+@st.composite
+def swap_symmetric_cases(draw):
+    """A matrix unchanged by swapping generators 1 and 2, theta swapping them
+    on L = {1, 2} or on all generators, and a shuffled fixed subgroup."""
+    n = draw(st.integers(2, 4))
+    rows = [[1] * n for _ in range(n)]
+    rows[0][1] = rows[1][0] = draw(st.sampled_from(BONDS))
+    for j in range(2, n):
+        rows[0][j] = rows[j][0] = rows[1][j] = rows[j][1] = draw(st.sampled_from(BONDS))
+        for i in range(j + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(BONDS))
+    L = draw(st.sampled_from([(0, 1), tuple(range(n))]))
+    try:
+        return swap_case(
+            rows, L, draw(st.randoms(use_true_random=False)), cap=draw(st.integers(1, 2000))
+        )
+    except (ct.CapExceeded, ct.InfiniteParabolic):
+        assume(False)
+
+
+def greedy_strip(sub, z):
+    """Twisted word of z by stripping the first length-lowering generator."""
+    word = []
+    while z.length:
+        g = next(g for g in sub.gens if ct.multiply(z, g.elt).length < z.length)
+        word.append(g)
+        z = ct.multiply(z, g.elt)
+    return word[::-1]
+
+
+# Random draws rarely give a finite group of rank 3 or 4, so three are named:
+# A3 and D4 swapping two end nodes, and I2(5) x I2(5) swapping one factor.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(swap_symmetric_cases())
+@example(swap_case([[1, 2, 3], [2, 1, 3], [3, 3, 1]], (0, 1, 2), random.Random(1)))
+@example(swap_case(
+    [[1, 2, 3, 2], [2, 1, 3, 2], [3, 3, 1, 3], [2, 2, 3, 1]], (0, 1, 2, 3), random.Random(2)
+))
+@example(swap_case(
+    [[1, 5, 2, 2], [5, 1, 2, 2], [2, 2, 1, 5], [2, 2, 5, 1]], (0, 1, 2, 3), random.Random(3)
+))
+def test_twisted_words_are_additive(case):
+    sub, order = case
+    for z in order:
+        word = ct.twisted_reduced_word(sub, z)
+        out = sub.system.identity
+        for g in word:
+            out = ct.multiply(out, g.elt)
+        assert out == z
+        assert sum(g.elt.length for g in word) == z.length
+        assert word == greedy_strip(sub, z)

@@ -1,11 +1,13 @@
 """The verification suites and their oracle."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
 import coxtwist as ct
-from coxtwist import verify
+from coxtwist import twisted, verify
 from conftest import a_system, dihedral
 
 import permutation_models as pm
@@ -82,6 +84,43 @@ def test_corrupt_fixture_is_detected():
     assert report.failures
     text = run.to_text()
     assert "counterexamples" in text
+
+
+F4_SWAP = {"name": "F4 swap", "type": "F4", "theta": [[1, 4], [2, 3]]}
+WORD_SUITES = {
+    "length-additivity", "minimal-chains", "step-dichotomy", "dominated-minimal-search",
+}
+
+
+def test_corrupt_reduced_word_memo_is_detected(monkeypatch):
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sub = case.subgroup
+    assert sub.elements[1].length != sub.elements[-1].length
+    for z in sub.elements:
+        ct.twisted_reduced_word(sub, z)
+    memo = twisted._reduced_words(sub)
+    # the longest element now reads as a single generator
+    memo[sub.elements[-1].index] = memo[sub.elements[1].index]
+    monkeypatch.setattr(ct.GroupDescription, "build", lambda self: case)
+    run = ct.run_suite({"cases": [{**F4_SWAP, "suites": sorted(WORD_SUITES)}]})
+    assert not run.ok
+    failing = {r.suite for r in run.reports if r.failures}
+    assert failing and failing <= WORD_SUITES
+    assert "length-additivity" in failing
+
+
+def test_reduced_word_memo_holds_no_reference_cycle():
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    ref = weakref.ref(case.subgroup)
+    gc.disable()
+    try:
+        for z in case.subgroup.elements:
+            ct.twisted_reduced_word(case.subgroup, z)
+        assert len(case.subgroup.__dict__["_reduced_word_cache"]) == case.subgroup.order
+        del case
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_seed_determinism():
