@@ -110,6 +110,8 @@ class CoxeterSystem:
         self._table = table
         self.complete = complete
         self.rank = len(generators)
+        # not a functools.cached_property: its write through __dict__ slows
+        # every later attribute load on the system (CPython 3.11+)
         self._reflection_cache = None
 
     # -- basic access -------------------------------------------------

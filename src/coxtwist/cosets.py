@@ -13,11 +13,12 @@ is_minimal, connect_minimals, escalation_trace, dominate, all_cosets).
 Twisted reduced words come from the subgroup's memo in twisted.py, each
 stripped and checked once.
 
-coset and dominate multiply a member w by a twisted generator g as
-p * (q * g), where w = p * q splits off the part q of w in g's orbit
-parabolic: every step of that walk is no longer than w * g, which belongs
-to the recorded coset, so inside a truncated ball the walk never leaves
-the enumerated region, where walking g's word from w may.
+Every product of a member w by a twisted generator g is walked as
+p * (q * g) by _times, where w = p * q splits off the part q of w in g's
+orbit parabolic: no step of that walk is longer than w * g, which belongs
+to the recorded coset, so it never leaves a truncated ball.  _step alone
+judges the steps of chains, escalations and dominations: from a minimal
+member, g keeps the length (even generators only) or lengthens.
 """
 from __future__ import annotations
 
@@ -163,6 +164,8 @@ class _CosetPartition:
 
 
 def _partition(sub: TwistedSubgroup) -> _CosetPartition:
+    # kept here, not as a cached_property of TwistedSubgroup: twisted cannot
+    # name _CosetPartition without importing cosets, which imports twisted
     part = sub.__dict__.get("_partition_cache")
     if part is None:
         part = _CosetPartition(sub)
@@ -203,6 +206,24 @@ def _times(sys: core.CoxeterSystem, i: int, g: TwistedGenerator) -> int:
         else:
             break
     return sys._walk(p, reversed(sys.words[r]))
+
+
+def _step(sys: core.CoxeterSystem, i: int, g: TwistedGenerator) -> tuple[int, StepVerdict]:
+    """Index of i*g and the verdict of that step of a twisted word read from
+    a minimal member: EQUAL for an even generator that keeps the length,
+    BRUHAT_UP for a longer step; anything else raises TheoremViolation.
+    i*g must belong to a recorded coset, so the walk stays in the ball.
+    """
+    j = _times(sys, i, g)
+    li, lj = len(sys.words[i]), len(sys.words[j])
+    if lj > li:
+        return j, StepVerdict.BRUHAT_UP
+    if lj == li and not g.is_reflection:
+        return j, StepVerdict.EQUAL
+    raise TheoremViolation(
+        f"{g.parity_class.value} generator {g.elt.word_string()!r} "
+        f"{'kept' if lj == li else 'dropped'} the length at {sys.element(i).word_string()!r}"
+    )
 
 
 def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
@@ -274,19 +295,20 @@ def connect_minimals(sub: TwistedSubgroup, u: Element, v: Element) -> list[Eleme
     for w in (u, v):
         if not part.is_min_in(c, w):
             raise NotMinimal(f"{w.word_string()!r} is not minimal in its coset")
+    sys = sub.system
     chain = [u]
-    cur = u
+    i = u.index
     for g in twisted_reduced_word(sub, y):
-        cur = core.multiply(cur, g.elt)
-        if not part.is_min_in(c, cur):
+        i, verdict = _step(sys, i, g)
+        if verdict is not StepVerdict.EQUAL:
             raise TheoremViolation(
                 f"chain from {u.word_string()!r} to {v.word_string()!r} left the "
-                f"minimal set at {cur.word_string()!r}"
+                f"minimal set at {sys.element(i).word_string()!r}"
             )
-        chain.append(cur)
-    if cur != v:
+        chain.append(Element(sys, i))
+    if i != v.index:
         raise TheoremViolation(
-            f"chain from {u.word_string()!r} ended at {cur.word_string()!r}, "
+            f"chain from {u.word_string()!r} ended at {chain[-1].word_string()!r}, "
             f"not {v.word_string()!r}"
         )
     return chain
@@ -302,31 +324,20 @@ def escalation_trace(sub: TwistedSubgroup, u: Element, z: Element) -> Escalation
         raise NotFixed(f"{z.word_string()!r} is not in the fixed subgroup")
     if not is_minimal(sub, u):
         raise NotMinimal(f"{u.word_string()!r} is not minimal in its coset")
+    sys = sub.system
     word = tuple(twisted_reduced_word(sub, z))
     steps = []
     prefixes = [u]
     cur = u
     for g in word:
-        nxt = core.multiply(cur, g.elt)
-        if nxt.length == cur.length:
-            if g.is_reflection:
-                raise TheoremViolation(
-                    f"length stalled at {cur.word_string()!r} under the odd "
-                    f"generator {g.elt.word_string()!r}"
-                )
-            steps.append(StepVerdict.EQUAL)
-        elif nxt.length > cur.length:
-            if not core.bruhat_leq(cur, nxt):
-                raise TheoremViolation(
-                    f"length rose from {cur.word_string()!r} to "
-                    f"{nxt.word_string()!r} without Bruhat comparability"
-                )
-            steps.append(StepVerdict.BRUHAT_UP)
-        else:
+        j, verdict = _step(sys, cur.index, g)
+        nxt = Element(sys, j)
+        if verdict is StepVerdict.BRUHAT_UP and not core.bruhat_leq(cur, nxt):
             raise TheoremViolation(
-                f"length dropped from minimal base at {cur.word_string()!r} * "
-                f"{g.elt.word_string()!r}"
+                f"length rose from {cur.word_string()!r} to "
+                f"{nxt.word_string()!r} without Bruhat comparability"
             )
+        steps.append(verdict)
         cur = nxt
         prefixes.append(cur)
     return EscalationTrace(base=u, word=word, steps=tuple(steps), prefixes=tuple(prefixes))
@@ -350,33 +361,24 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
     cur = base
     steps = []
     for g in twisted_reduced_word(sub, y):
-        # cur*g and witness*g are members of the recorded coset, so the
-        # walks stay in the ball
-        nxt = Element(sys, _times(sys, cur.index, g))
-        if nxt.length > cur.length:
-            verdict = StepVerdict.BRUHAT_UP
-            replaced = False
-        elif nxt.length == cur.length:
-            verdict = StepVerdict.EQUAL
+        j, verdict = _step(sys, cur.index, g)
+        cur = Element(sys, j)
+        replaced = False
+        if verdict is StepVerdict.EQUAL:
             candidates = []
-            if core.bruhat_leq(witness, nxt):
+            if core.bruhat_leq(witness, cur):
                 candidates.append((witness, False))
+            # witness*g is a member of the recorded coset too
             moved = Element(sys, _times(sys, witness.index, g))
-            if moved.length <= witness.length and core.bruhat_leq(moved, nxt):
+            if moved.length <= witness.length and core.bruhat_leq(moved, cur):
                 candidates.append((moved, True))
             if not candidates:
                 raise TheoremViolation(
-                    f"no dominated replacement at {cur.word_string()!r} * "
-                    f"{g.elt.word_string()!r} for witness {witness.word_string()!r}"
+                    f"no dominated replacement for witness {witness.word_string()!r} "
+                    f"at {cur.word_string()!r} after {g.elt.word_string()!r}"
                 )
             candidates.sort(key=lambda c: (c[0].length, c[0].index))
             witness, replaced = candidates[0]
-        else:
-            raise TheoremViolation(
-                f"length dropped below the minimum at {cur.word_string()!r} * "
-                f"{g.elt.word_string()!r}"
-            )
-        cur = nxt
         steps.append(
             DominationStep(
                 generator=g, prefix=cur, verdict=verdict, witness=witness, replaced=replaced

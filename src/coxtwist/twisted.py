@@ -10,6 +10,7 @@ Pairs with m = infinity contribute nothing and are reported as skipped.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -79,13 +80,18 @@ class TwistedSubgroup:
     def __contains__(self, w: Element) -> bool:
         return w.system is self.system and w.index in self._index_set
 
-    @property
+    @functools.cached_property
     def _index_set(self) -> frozenset[int]:
-        cached = self.__dict__.get("_index_set_cache")
-        if cached is None:
-            cached = frozenset(w.index for w in self.elements)
-            object.__setattr__(self, "_index_set_cache", cached)
-        return cached
+        return frozenset(w.index for w in self.elements)
+
+    @functools.cached_property
+    def _reduced_word_cache(self) -> dict[int, tuple[TwistedGenerator, ...]]:
+        """The memo of twisted reduced words, by element index.
+
+        It holds generators and indices only, never the subgroup, so it
+        closes no reference cycle through it.
+        """
+        return {0: ()}
 
     def __repr__(self):
         return f"TwistedSubgroup(order={self.order}, gens={len(self.gens)})"
@@ -189,19 +195,6 @@ def enumerate_fixed_subgroup(theta: DiagramAutomorphism, cap: int | None = None)
     )
 
 
-def _reduced_words(sub: TwistedSubgroup) -> dict[int, tuple[TwistedGenerator, ...]]:
-    """The subgroup's memo of twisted reduced words, by element index.
-
-    It holds generators and indices only, never the subgroup, so it closes
-    no reference cycle through it.
-    """
-    memo = sub.__dict__.get("_reduced_word_cache")
-    if memo is None:
-        memo = {0: ()}
-        object.__setattr__(sub, "_reduced_word_cache", memo)
-    return memo
-
-
 def twisted_reduced_word(sub: TwistedSubgroup, z: Element) -> list[TwistedGenerator]:
     """Greedy reduced word for z over the twisted generators.
 
@@ -213,7 +206,7 @@ def twisted_reduced_word(sub: TwistedSubgroup, z: Element) -> list[TwistedGenera
     """
     if z not in sub:
         raise NotFixed(f"{z.word_string()!r} is not in the fixed subgroup")
-    memo = _reduced_words(sub)
+    memo = sub._reduced_word_cache
     word = memo.get(z.index)
     if word is None:
         sys = sub.system

@@ -1,5 +1,6 @@
 """Coset analysis: minimal sets, linking graphs, escalation, domination."""
 
+import dataclasses
 import math
 
 import pytest
@@ -11,7 +12,9 @@ from coxtwist import (
     NotMinimal,
     NotSameCoset,
     StepVerdict,
+    TheoremViolation,
 )
+from coxtwist import cosets
 from coxtwist.cosets import generator_nickname
 from conftest import a_system, dihedral, from_digits
 
@@ -249,6 +252,32 @@ def test_escalation_trace_f4_spot(f4_sub):
         "bruhat-up", "equal", "bruhat-up", "bruhat-up",
         "bruhat-up", "equal", "equal", "equal",
     ]
+
+
+def test_step_rule_judges_every_product(a3_sub, f4_sub):
+    # a generator marked odd may not keep the length; a drop never passes
+    for sub in (a3_sub, f4_sub):
+        sys = sub.system
+        for g in sub.gens:
+            marked_odd = dataclasses.replace(g, parity_class=ct.GeneratorParity.ODD)
+            for h in (g, marked_odd):
+                for w in sys:
+                    wg = ct.multiply(w, g.elt)
+                    if wg.length > w.length:
+                        assert cosets._step(sys, w.index, h) == (wg.index, StepVerdict.BRUHAT_UP)
+                    elif wg.length == w.length and not h.is_reflection:
+                        assert cosets._step(sys, w.index, h) == (wg.index, StepVerdict.EQUAL)
+                    else:
+                        with pytest.raises(TheoremViolation):
+                            cosets._step(sys, w.index, h)
+
+
+def test_escalation_trace_checks_bruhat_ascents(f4_sub, monkeypatch):
+    u = from_digits(f4_sub.system, "42312342")
+    z = max(f4_sub.elements, key=lambda w: w.length)
+    monkeypatch.setattr(cosets.core, "bruhat_leq", lambda a, b: False)
+    with pytest.raises(TheoremViolation):
+        ct.escalation_trace(f4_sub, u, z)
 
 
 def test_escalation_trace_rejections(f4_sub):

@@ -138,6 +138,40 @@ def test_dominate_answers_every_recorded_coset_of_a_truncated_ball():
     assert answered == 1159
 
 
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+def test_connect_minimals_answers_every_recorded_coset_of_a_truncated_ball(descending):
+    # each link is a member of the recorded coset, so its walk stays inside
+    # the ball; only the quotient u^-1 * v may leave it
+    case = build(HYPERBOLIC_534)
+    sys, sub = case.system, case.subgroup
+    order = list(sys)
+    if descending:
+        order.reverse()
+    for x in order:
+        try:
+            ct.is_minimal(sub, x)
+        except ct.OutOfEnumeratedRegion:
+            pass
+    part = cosets._partition(sub)
+    pairs = 0
+    for c in range(len(part.nmin)):
+        mins = ct.min_set(sub, sys.element(part.members[c * part.h]))
+        for u in mins:
+            for v in mins:
+                if u == v:
+                    continue
+                pairs += 1
+                try:
+                    chain = ct.connect_minimals(sub, u, v)
+                except ct.OutOfEnumeratedRegion:
+                    with pytest.raises(ct.OutOfEnumeratedRegion):
+                        ct.multiply(ct.inverse(u), v)
+                    continue
+                assert (chain[0], chain[-1]) == (u, v)
+                assert all(w in mins for w in chain)
+    assert pairs == 458
+
+
 def test_coset_partition_suite_catches_a_corrupted_partition():
     case = build({"type": "A3", "theta": [[1, 3]]})
     sub = case.subgroup

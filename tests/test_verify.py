@@ -1,5 +1,6 @@
 """The verification suites and their oracle."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -7,7 +8,7 @@ import weakref
 import pytest
 
 import coxtwist as ct
-from coxtwist import twisted, verify
+from coxtwist import verify
 from conftest import a_system, dihedral
 
 import permutation_models as pm
@@ -98,7 +99,7 @@ def test_corrupt_reduced_word_memo_is_detected(monkeypatch):
     assert sub.elements[1].length != sub.elements[-1].length
     for z in sub.elements:
         ct.twisted_reduced_word(sub, z)
-    memo = twisted._reduced_words(sub)
+    memo = sub._reduced_word_cache
     # the longest element now reads as a single generator
     memo[sub.elements[-1].index] = memo[sub.elements[1].index]
     monkeypatch.setattr(ct.GroupDescription, "build", lambda self: case)
@@ -107,6 +108,29 @@ def test_corrupt_reduced_word_memo_is_detected(monkeypatch):
     failing = {r.suite for r in run.reports if r.failures}
     assert failing and failing <= WORD_SUITES
     assert "length-additivity" in failing
+
+
+PARITY_SUITES = WORD_SUITES | {"generator-parity"}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_wrong_generator_parity_is_detected(monkeypatch, k):
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    gens = list(case.subgroup.gens)
+    assert gens[k].parity_class is ct.GeneratorParity.EVEN
+    gens[k] = dataclasses.replace(gens[k], parity_class=ct.GeneratorParity.ODD)
+    sub = dataclasses.replace(case.subgroup, gens=tuple(gens))
+    monkeypatch.setattr(
+        ct.GroupDescription, "build", lambda self: dataclasses.replace(case, subgroup=sub)
+    )
+    run = ct.run_suite({"cases": [{**F4_SWAP, "suites": sorted(PARITY_SUITES)}]})
+    failing = {r.suite for r in run.reports if r.failures}
+    # length-additivity reads lengths only; every suite that reads the
+    # parity, directly or through the step rule, must fail
+    assert failing == PARITY_SUITES - {"length-additivity"}
+    healthy = {"generator-parity": 2, "length-additivity": 16, "minimal-chains": 970,
+               "step-dichotomy": 3952, "dominated-minimal-search": 1152}
+    assert {r.suite: r.checked for r in run.reports} == healthy
 
 
 def test_reduced_word_memo_holds_no_reference_cycle():
