@@ -25,15 +25,18 @@ from .errors import (
 )
 
 
-def _load_case(path: str) -> RealizedCase:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise DescriptionError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DescriptionError(f"{path} is not valid JSON: {e}") from e
-    return GroupDescription.from_dict(doc).build()
+
+
+def _load_case(path: str) -> RealizedCase:
+    return GroupDescription.from_dict(_read_json(path)).build()
 
 
 def _parse_element(case: RealizedCase, text: str) -> core.Element:
@@ -119,13 +122,7 @@ def cmd_dominate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.file:
-        try:
-            with open(args.file) as fh:
-                config = json.load(fh)
-        except OSError as e:
-            raise DescriptionError(f"cannot read {args.file}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise DescriptionError(f"{args.file} is not valid JSON: {e}") from e
+        config = _read_json(args.file)
         if "cases" not in config:
             config = {"cases": [config]}
     else:

@@ -7,16 +7,17 @@ the structural guarantees on the fly, raising TheoremViolation with a
 concrete witness if one fails.
 
 Coset facts are computed once per subgroup: the first question about any
-member of a coset walks u * z for every z in H and records the sorted
-members in a partition shared by every later call (coset, min_set,
+member u of a coset closes u under the twisted generators and records the
+sorted members in a partition shared by every later call (coset, min_set,
 is_minimal, connect_minimals, escalation_trace, dominate, all_cosets).
-Twisted reduced words come from the subgroup's memo in twisted.py, each
+Twisted reduced words come from the subgroup's table in twisted.py, each
 stripped and checked once.
 
 Every product of a member w by a twisted generator g is walked as
-p * (q * g) by _times, where w = p * q splits off the part q of w in g's
-orbit parabolic: no step of that walk is longer than w * g, which belongs
-to the recorded coset, so it never leaves a truncated ball.  _step alone
+p * (q * g) by twisted._times, where w = p * q splits off the part q of w
+in g's orbit parabolic: no step of that walk is longer than w * g, which
+belongs to the coset, so a coset is answered in every touch order unless a
+member really lies outside a truncated ball.  _step alone
 judges the steps of chains, escalations and dominations: from a minimal
 member, g keeps the length (even generators only) or lengthens.
 """
@@ -35,7 +36,7 @@ from .errors import (
     NotSameCoset,
     TheoremViolation,
 )
-from .twisted import TwistedGenerator, TwistedSubgroup, twisted_reduced_word
+from .twisted import TwistedGenerator, TwistedSubgroup, _close, _times, twisted_reduced_word
 
 _NICKNAMES = "xyzuvw"
 
@@ -110,12 +111,12 @@ class _CosetPartition:
     subgroup, so it never closes a reference cycle through it.
     """
 
-    __slots__ = ("system", "h", "zwords", "cid", "members", "nmin")
+    __slots__ = ("system", "h", "gens", "cid", "members", "nmin")
 
     def __init__(self, sub: TwistedSubgroup):
         self.system = sub.system
         self.h = sub.order
-        self.zwords = tuple(z.word for z in sub.elements)
+        self.gens = sub.gens
         self.cid = array("i", [-1]) * sub.system.size
         self.members = array("i")
         self.nmin = array("i")
@@ -123,14 +124,15 @@ class _CosetPartition:
     def coset_id(self, i: int) -> int:
         """Id of the coset of element index i, recording the coset if new.
 
-        A walk that leaves the enumerated ball raises OutOfEnumeratedRegion
+        The coset is the closure of i under the twisted generators; a
+        member outside the enumerated ball raises OutOfEnumeratedRegion
         before anything is recorded.
         """
         c = self.cid[i]
         if c >= 0:
             return c
         sys = self.system
-        found = sorted({sys._walk(i, zw) for zw in self.zwords})
+        found = _close(sys, i, self.gens)
         if len(found) != self.h:
             raise TheoremViolation(
                 f"coset of {sys.element(i).word_string()!r} has {len(found)} "
@@ -179,33 +181,6 @@ def _locate(sub: TwistedSubgroup, u: Element) -> tuple[_CosetPartition, int]:
         raise ValueError("element and subgroup belong to different systems")
     part = _partition(sub)
     return part, part.coset_id(u.index)
-
-
-def _times(sys: core.CoxeterSystem, i: int, g: TwistedGenerator) -> int:
-    """Index of element i times g, walked as p*(q*g).
-
-    Stripping right descents in g's orbit from i leaves i = p*q, with q in
-    the orbit parabolic and p free of descents in it, so lengths add along
-    p times any element of that parabolic: no step is longer than i*g.  The
-    same letters stripped from g, an involution, leave r = g*q^-1, whose
-    reversed canonical word spells q*g.
-    """
-    table = sys._table
-    p = i
-    r = g.elt.index
-    while True:
-        row = table[p]
-        for s in g.orbit:
-            j = row[s]
-            # indices follow ShortLex order: a smaller neighbour is shorter
-            if j is not None and j < p:
-                p = j
-                # r stays in the orbit parabolic, which g closes in the ball
-                r = table[r][s]
-                break
-        else:
-            break
-    return sys._walk(p, reversed(sys.words[r]))
 
 
 def _step(sys: core.CoxeterSystem, i: int, g: TwistedGenerator) -> tuple[int, StepVerdict]:
@@ -275,26 +250,21 @@ def all_cosets(sub: TwistedSubgroup) -> list[CosetAnalysis]:
     return out
 
 
-def _require_same_coset(sub: TwistedSubgroup, u: Element, v: Element) -> Element:
-    y = core.multiply(core.inverse(u), v)
-    if y not in sub:
-        raise NotSameCoset(
-            f"{u.word_string()!r} and {v.word_string()!r} lie in different cosets"
-        )
-    return y
-
-
 def connect_minimals(sub: TwistedSubgroup, u: Element, v: Element) -> list[Element]:
     """Chain of minimal coset members from u to v along twisted generators.
 
     Every link multiplies by one twisted generator and stays inside the
     minimal set at constant length.
     """
-    y = _require_same_coset(sub, u, v)
     part, c = _locate(sub, u)
+    if _locate(sub, v)[1] != c:
+        raise NotSameCoset(
+            f"{u.word_string()!r} and {v.word_string()!r} lie in different cosets"
+        )
     for w in (u, v):
         if not part.is_min_in(c, w):
             raise NotMinimal(f"{w.word_string()!r} is not minimal in its coset")
+    y = core.multiply(core.inverse(u), v)
     sys = sub.system
     chain = [u]
     i = u.index

@@ -134,16 +134,18 @@ def _reduction_rows(poly):
 class CosineRing:
     """The ring Z[2*cos(pi/m) : m in orders], orders a set of finite bonds.
 
-    Bond orders whose cosine is rational (m = 2, 3) contribute no basis
-    factor; an infinite bond contributes the integer 2 and is handled by
-    the caller.  Elements are flat tuples of ints of length ``dim``.
+    Bond orders m whose cosine is rational (m = 2, 3) or that divide another
+    order m' (a polynomial in 2*cos(pi/m') then gives 2*cos(pi/m)) contribute
+    no basis factor; an infinite bond contributes the integer 2 and is
+    handled by the caller.  Elements are flat tuples of ints of length ``dim``.
     """
 
     def __init__(self, orders):
+        orders = sorted(set(orders))
         factors = []
-        for m in sorted(set(orders)):
+        for m in orders:
             poly = two_cos_minimal_polynomial(m)
-            if len(poly) - 1 >= 2:
+            if len(poly) - 1 >= 2 and not any(k != m and k % m == 0 for k in orders):
                 factors.append((m, len(poly) - 1, _reduction_rows(poly)))
         self.factors = tuple(factors)
         degs = [d for _, d, _ in factors]
@@ -183,11 +185,14 @@ class CosineRing:
         if m == math.inf:
             return self.from_int(2)
         for f, (fm, _, _) in enumerate(self.factors):
-            if fm == m:
+            if fm % m == 0:
                 exp = tuple(1 if g == f else 0 for g in range(len(self.factors)))
-                out = [0] * self.dim
-                out[self._exp_index[exp]] = 1
-                return tuple(out)
+                x = tuple(int(k == self._exp_index[exp]) for k in range(self.dim))
+                # 2cos(k*t) = p_k(2cos(t)), p_(j+1) = x*p_j - p_(j-1), k = fm/m
+                prev, cur = self.from_int(2), x
+                for _ in range(fm // m - 1):
+                    prev, cur = cur, tuple(a - b for a, b in zip(self.mul(x, cur), prev))
+                return cur
         poly = two_cos_minimal_polynomial(m)
         if len(poly) != 2:
             raise ValueError(f"irrational 2cos(pi/{m}) is missing from the ring factors")

@@ -6,6 +6,8 @@ whose canonical generators are the longest elements of the finite orbit
 parabolics: a fixed generator s contributes s, a swapped pair {s, t} with
 finite m(s, t) contributes the longest element of the dihedral on {s, t}.
 Pairs with m = infinity contribute nothing and are reported as skipped.
+Every product by a twisted generator goes through _times: the fixed
+subgroup is the closure (_close) of the identity, a coset x * H that of x.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import core
 from .core import CoxeterSystem, Element
@@ -23,6 +25,7 @@ from .errors import (
     NotFixed,
     NotInvolutive,
     NotInWL,
+    OutOfEnumeratedRegion,
     OutOfL,
     TheoremViolation,
 )
@@ -63,6 +66,47 @@ class TwistedGenerator:
         return f"TwistedGenerator({self.elt.word_string()!r}, orbit={self.orbit})"
 
 
+def _times(sys: CoxeterSystem, i: int, g: TwistedGenerator) -> int:
+    """Index of element i times g, walked as p*(q*g).
+
+    Stripping right descents in g's orbit from i leaves i = p*q, with q in
+    the orbit parabolic and p free of descents in it, so lengths add along
+    p times any element of that parabolic: no step is longer than i*g.  The
+    same letters stripped from g, an involution, leave r = g*q^-1, whose
+    reversed canonical word spells q*g.
+    """
+    table = sys._table
+    p = i
+    r = g.elt.index
+    while True:
+        row = table[p]
+        for s in g.orbit:
+            j = row[s]
+            # indices follow ShortLex order: a smaller neighbour is shorter
+            if j is not None and j < p:
+                p = j
+                # r stays in the orbit parabolic, which g closes in the ball
+                r = table[r][s]
+                break
+        else:
+            break
+    return sys._walk(p, reversed(sys.words[r]))
+
+
+def _close(sys: CoxeterSystem, i: int, gens: Sequence[TwistedGenerator]) -> list[int]:
+    """Sorted indices of i * <gens>, closed breadth-first by _times: it
+    raises OutOfEnumeratedRegion only for a member outside the ball."""
+    seen = {i}
+    queue = [i]
+    for j in queue:
+        for g in gens:
+            k = _times(sys, j, g)
+            if k not in seen:
+                seen.add(k)
+                queue.append(k)
+    return sorted(seen)
+
+
 @dataclass(frozen=True)
 class TwistedSubgroup:
     """The fixed subgroup of theta on W_L, fully enumerated."""
@@ -86,12 +130,30 @@ class TwistedSubgroup:
 
     @functools.cached_property
     def _reduced_word_cache(self) -> dict[int, tuple[TwistedGenerator, ...]]:
-        """The memo of twisted reduced words, by element index.
-
+        """Twisted reduced words of all members by index, in one ShortLex
+        pass: word(z) = word(z*g) + (g,) for the first g that shortens z.
         It holds generators and indices only, never the subgroup, so it
         closes no reference cycle through it.
         """
-        return {0: ()}
+        words = self.system.words
+        memo = {0: ()}
+        for z in self.elements[1:]:  # elements[0] is the identity
+            for g in self.gens:
+                j = _times(self.system, z.index, g)
+                drop = z.length - len(words[j])
+                if drop > 0:
+                    if drop != g.elt.length:
+                        raise TheoremViolation(
+                            f"descent by {g.elt.word_string()!r} at {z.word_string()!r} "
+                            "dropped the length by less than the generator length"
+                        )
+                    memo[z.index] = memo[j] + (g,)
+                    break
+            else:
+                raise TheoremViolation(
+                    f"nonidentity fixed element {z.word_string()!r} has no descent"
+                )
+        return memo
 
     def __repr__(self):
         return f"TwistedSubgroup(order={self.order}, gens={len(self.gens)})"
@@ -176,22 +238,20 @@ def is_fixed(theta: DiagramAutomorphism, w: Element) -> bool:
     return apply_theta(theta, w) == w
 
 
-def enumerate_fixed_subgroup(theta: DiagramAutomorphism, cap: int | None = None) -> TwistedSubgroup:
-    """Close the twisted generators into the full fixed subgroup."""
+def enumerate_fixed_subgroup(theta: DiagramAutomorphism) -> TwistedSubgroup:
+    """Close the identity under the twisted generators: the fixed subgroup."""
     sys = theta.system
     gens = twisted_generators(theta)
-    elements, complete = core.enumerate_ball(sys, [g.elt for g in gens], cap=cap)
-    if not complete:
-        raise CapExceeded(
-            "fixed subgroup did not close within "
-            f"{cap if cap is not None else sys.cap} elements"
-        )
+    try:
+        found = _close(sys, 0, gens)
+    except OutOfEnumeratedRegion as e:
+        raise CapExceeded(f"fixed subgroup did not close within {sys.cap} elements") from e
     return TwistedSubgroup(
         system=sys,
         theta=theta,
         gens=tuple(gens),
         skipped_orbits=skipped_orbits(theta),
-        elements=elements,
+        elements=tuple(Element(sys, i) for i in found),
     )
 
 
@@ -200,43 +260,10 @@ def twisted_reduced_word(sub: TwistedSubgroup, z: Element) -> list[TwistedGenera
 
     Strips, at each step, the first generator in declared order that lowers
     the length; each strip must lower it by exactly the generator's length.
-    The word of z is the word of z*g followed by g, for that first g, so
-    each subgroup memoizes the words by element index, filled along the
-    strip chain on first touch: each element is stripped and checked once.
     """
     if z not in sub:
         raise NotFixed(f"{z.word_string()!r} is not in the fixed subgroup")
-    memo = sub._reduced_word_cache
-    word = memo.get(z.index)
-    if word is None:
-        sys = sub.system
-        chain = []
-        i = z.index
-        while i not in memo:
-            li = len(sys.words[i])
-            for g in sub.gens:
-                j = sys._walk(i, g.elt.word)
-                lj = len(sys.words[j])
-                if lj < li:
-                    if lj != li - g.elt.length:
-                        raise TheoremViolation(
-                            f"descent by {g.elt.word_string()!r} at "
-                            f"{sys.element(i).word_string()!r} "
-                            "dropped the length by less than the generator length"
-                        )
-                    chain.append((i, g))
-                    i = j
-                    break
-            else:
-                raise TheoremViolation(
-                    f"nonidentity fixed element {sys.element(i).word_string()!r} "
-                    "has no descent"
-                )
-        word = memo[i]
-        for i, g in reversed(chain):
-            word += (g,)
-            memo[i] = word
-    return list(word)
+    return list(sub._reduced_word_cache[z.index])
 
 
 def twisted_length(sub: TwistedSubgroup, z: Element) -> int:

@@ -184,6 +184,16 @@ def test_description_errors_exit_two(tmp_path, capsys):
     assert "m(" in capsys.readouterr().err
 
 
+def test_verify_config_errors_exit_two(tmp_path, capsys):
+    assert main(["verify", str(tmp_path / "nope.json")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{not json")
+    assert main(["verify", str(invalid)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_truncation_exits_three(tmp_path, capsys):
     swapped = tmp_path / "infinite-swap.json"
     swapped.write_text(json.dumps({"type": "I2(inf)", "cap": 60, "theta": [[1, 2]]}))

@@ -117,7 +117,7 @@ def test_truncated_min_graphs_match_a_larger_ball():
         b = ct.coset(big.subgroup, ct.element_from_word(big.system, u.word))
         assert [w.word for w in a.min_set] == [w.word for w in b.min_set]
         assert graph(a) == graph(b)
-    assert answered == 1159
+    assert answered == 1326
 
 
 def test_dominate_answers_every_recorded_coset_of_a_truncated_ball():
@@ -135,7 +135,7 @@ def test_dominate_answers_every_recorded_coset_of_a_truncated_ball():
         witness = ct.dominate(sub, x).witness
         assert witness in ct.min_set(sub, x)
         assert witness.index in down_set(x)
-    assert answered == 1159
+    assert answered == 1326
 
 
 @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
@@ -170,6 +170,56 @@ def test_connect_minimals_answers_every_recorded_coset_of_a_truncated_ball(desce
                 assert (chain[0], chain[-1]) == (u, v)
                 assert all(w in mins for w in chain)
     assert pairs == 458
+
+
+def test_truncated_ball_refuses_the_same_elements_in_every_touch_order():
+    # a coset is refused exactly when one of its members, found by plain
+    # multiplication in a ball ten times larger, lies outside the small ball
+    big = build({**HYPERBOLIC_534, "cap": 20000})
+    small_size = HYPERBOLIC_534["cap"]
+    oracle = set()
+    for u in list(big.system)[:small_size]:
+        if max(ct.multiply(u, z).index for z in big.subgroup.elements) >= small_size:
+            oracle.add(u.index)
+    assert len(oracle) == 674
+    for descending in (False, True):
+        case = build(HYPERBOLIC_534)
+        sys = case.system
+        assert sys.words == big.system.words[:small_size]
+        order = list(sys)
+        if descending:
+            order.reverse()
+        refused = set()
+        for u in order:
+            try:
+                ct.is_minimal(case.subgroup, u)
+            except ct.OutOfEnumeratedRegion:
+                refused.add(u.index)
+        assert refused == oracle
+
+
+def test_connect_minimals_tells_recorded_cosets_apart_in_a_truncated_ball():
+    # different cosets are told apart by the partition, without forming
+    # the quotient u^-1 * v, which may leave the ball
+    case = build(HYPERBOLIC_534)
+    sys, sub = case.system, case.subgroup
+    for x in sys:
+        try:
+            ct.is_minimal(sub, x)
+        except ct.OutOfEnumeratedRegion:
+            pass
+    part = cosets._partition(sub)
+    reps = [sys.element(part.members[c * part.h]) for c in range(len(part.nmin))]
+    rng = random.Random(3)
+    pairs = 0
+    for _ in range(5000):
+        u, v = rng.choice(reps), rng.choice(reps)
+        if u == v:
+            continue
+        pairs += 1
+        with pytest.raises(ct.NotSameCoset):
+            ct.connect_minimals(sub, u, v)
+    assert pairs > 4900
 
 
 def test_coset_partition_suite_catches_a_corrupted_partition():

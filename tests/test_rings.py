@@ -93,6 +93,26 @@ def test_ring_dimensions():
     assert CosineRing({8}).dim == 4
     assert CosineRing({4, 5}).dim == 4
     assert CosineRing({3, 5, 8}).dim == 8
+    # an order dividing another bond adds no factor of its own
+    assert CosineRing({4, 8}).dim == 4
+    assert CosineRing({5, 10}).dim == 4
+    assert CosineRing({2, 4, 8, 16}).dim == 8
+
+
+def ring_value(ring, v):
+    """Float value of ring element v over the ring's monomial basis."""
+    xs = [2.0 * math.cos(math.pi / m) for m, _, _ in ring.factors]
+    return sum(c * math.prod(x**e for x, e in zip(xs, exp)) for c, exp in zip(v, ring._exps))
+
+
+@pytest.mark.parametrize(
+    "orders", [{4, 8}, {5, 10}, {2, 4, 8, 16}], ids=lambda o: "-".join(map(str, sorted(o)))
+)
+def test_two_cos_of_a_dividing_order_is_a_polynomial_in_the_factor(orders):
+    ring = CosineRing(orders)
+    assert [m for m, _, _ in ring.factors] == [max(orders)]
+    for m in orders:
+        assert abs(ring_value(ring, ring.two_cos(m)) - 2.0 * math.cos(math.pi / m)) < 1e-9
 
 
 def test_ring_integer_embedding():
@@ -122,7 +142,7 @@ def test_ring_two_cos_squares():
 
 
 def test_ring_generator_satisfies_its_polynomial():
-    for orders in ({4}, {5}, {7}, {8}, {5, 8}):
+    for orders in ({4}, {5}, {7}, {8}, {5, 8}, {4, 8}, {5, 10}):
         ring = CosineRing(orders)
         for m in orders:
             x = ring.two_cos(m)
