@@ -7,9 +7,10 @@ the structural guarantees on the fly, raising TheoremViolation with a
 concrete witness if one fails.
 
 Coset facts are computed once per subgroup: the first question about any
-member u of a coset closes u under the twisted generators and records the
-sorted members in a partition shared by every later call (coset, min_set,
-is_minimal, connect_minimals, escalation_trace, dominate, all_cosets).
+member u of a coset walks u down the twisted-word tree of the subgroup
+(u * z = (u * parent) * g on each row) and records the sorted members in a
+partition shared by every later call (coset, min_set, is_minimal,
+connect_minimals, escalation_trace, dominate, all_cosets).
 Twisted reduced words come from the subgroup's table in twisted.py, each
 stripped and checked once.
 
@@ -19,13 +20,15 @@ in g's orbit parabolic: no step of that walk is longer than w * g, which
 belongs to the coset, so a coset is answered in every touch order unless a
 member really lies outside a truncated ball.  _step alone
 judges the steps of chains, escalations and dominations: from a minimal
-member, g keeps the length (even generators only) or lengthens.
+member, g keeps the length (even generators only) or lengthens.  _advance
+alone moves dominate's witness along with each step.
 """
 from __future__ import annotations
 
 import enum
 from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import core
 from .core import Element
@@ -36,7 +39,7 @@ from .errors import (
     NotSameCoset,
     TheoremViolation,
 )
-from .twisted import TwistedGenerator, TwistedSubgroup, _close, _times, twisted_reduced_word
+from .twisted import TwistedGenerator, TwistedSubgroup, _times, _word_tree, twisted_reduced_word
 
 _NICKNAMES = "xyzuvw"
 
@@ -107,16 +110,18 @@ class _CosetPartition:
     cid[i] is the coset id of element index i, or -1 while its coset is
     untouched.  Coset c's member indices sit sorted at members[c*h:(c+1)*h];
     indices follow ShortLex order, hence length, so the first nmin[c] of
-    them are its minimal members.  The partition keeps no reference to its
-    subgroup, so it never closes a reference cycle through it.
+    them are its minimal members.  tree holds the subgroup's twisted-word
+    tree as it stood when the partition was made.  The partition keeps no
+    reference to its subgroup, so it never closes a reference cycle through
+    it.
     """
 
-    __slots__ = ("system", "h", "gens", "cid", "members", "nmin")
+    __slots__ = ("system", "h", "tree", "cid", "members", "nmin")
 
     def __init__(self, sub: TwistedSubgroup):
         self.system = sub.system
         self.h = sub.order
-        self.gens = sub.gens
+        self.tree = _word_tree(sub)
         self.cid = array("i", [-1]) * sub.system.size
         self.members = array("i")
         self.nmin = array("i")
@@ -124,15 +129,18 @@ class _CosetPartition:
     def coset_id(self, i: int) -> int:
         """Id of the coset of element index i, recording the coset if new.
 
-        The coset is the closure of i under the twisted generators; a
-        member outside the enumerated ball raises OutOfEnumeratedRegion
-        before anything is recorded.
+        i * z is filled down the twisted-word tree, (i * parent) * g on each
+        row, one _times per member; a member outside the enumerated ball
+        raises OutOfEnumeratedRegion before anything is recorded.
         """
         c = self.cid[i]
         if c >= 0:
             return c
         sys = self.system
-        found = _close(sys, i, self.gens)
+        at = [i] * self.h
+        for z, parent, g in self.tree:
+            at[z] = _times(sys, at[parent], g)
+        found = sorted(set(at))
         if len(found) != self.h:
             raise TheoremViolation(
                 f"coset of {sys.element(i).word_string()!r} has {len(found)} "
@@ -175,6 +183,20 @@ def _partition(sub: TwistedSubgroup) -> _CosetPartition:
     return part
 
 
+def _cosets(sub: TwistedSubgroup) -> Iterator[tuple[array, int]]:
+    """Each coset of a complete group as (sorted member indices, number of
+    minimal members), in order of representative, read off the partition."""
+    sys = sub.system
+    if not sys.complete:
+        raise CapExceeded("coset partition needs a fully enumerated group")
+    part = _partition(sub)
+    h, members = part.h, part.members
+    for i in range(sys.size):
+        c = part.coset_id(i)
+        if members[c * h] == i:
+            yield members[c * h : (c + 1) * h], part.nmin[c]
+
+
 def _locate(sub: TwistedSubgroup, u: Element) -> tuple[_CosetPartition, int]:
     """The subgroup's partition and the id of u's coset in it."""
     if u.system is not sub.system:
@@ -198,6 +220,35 @@ def _step(sys: core.CoxeterSystem, i: int, g: TwistedGenerator) -> tuple[int, St
     raise TheoremViolation(
         f"{g.parity_class.value} generator {g.elt.word_string()!r} "
         f"{'kept' if lj == li else 'dropped'} the length at {sys.element(i).word_string()!r}"
+    )
+
+
+def _advance(
+    sys: core.CoxeterSystem, i: int, witness: int, g: TwistedGenerator
+) -> tuple[int, StepVerdict, int, bool]:
+    """One step of dominate's walk: (i*g, verdict, witness after, replaced).
+
+    The step itself is judged by _step.  A longer step keeps the witness.
+    An equal-length step keeps it or replaces it by witness*g, whichever
+    lies below i*g without being longer, preferring the shorter and then the
+    ShortLex-smaller: indices follow ShortLex order, so the smaller index.
+    """
+    j, verdict = _step(sys, i, g)
+    if verdict is StepVerdict.BRUHAT_UP:
+        return j, verdict, witness, False
+    top = Element(sys, j)
+    # witness*g is a member of the recorded coset too
+    moved = _times(sys, witness, g)
+    words = sys.words
+    if len(words[moved]) <= len(words[witness]) and core.bruhat_leq(Element(sys, moved), top):
+        if moved < witness or not core.bruhat_leq(Element(sys, witness), top):
+            return j, verdict, moved, True
+        return j, verdict, witness, False
+    if core.bruhat_leq(Element(sys, witness), top):
+        return j, verdict, witness, False
+    raise TheoremViolation(
+        f"no dominated replacement for witness {sys.element(witness).word_string()!r} "
+        f"at {top.word_string()!r} after {g.elt.word_string()!r}"
     )
 
 
@@ -239,15 +290,7 @@ def is_minimal(sub: TwistedSubgroup, u: Element) -> bool:
 
 def all_cosets(sub: TwistedSubgroup) -> list[CosetAnalysis]:
     """Partition the whole group into cosets of the subgroup, by representative."""
-    sys = sub.system
-    if not sys.complete:
-        raise CapExceeded("coset partition needs a fully enumerated group")
-    part = _partition(sub)
-    out = []
-    for i in range(sys.size):
-        if part.members[part.coset_id(i) * part.h] == i:
-            out.append(coset(sub, sys.element(i)))
-    return out
+    return [coset(sub, sub.system.element(members[0])) for members, _ in _cosets(sub)]
 
 
 def connect_minimals(sub: TwistedSubgroup, u: Element, v: Element) -> list[Element]:
@@ -327,37 +370,23 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
     sys = x.system
     base = Element(sys, part.members[c * part.h])
     y = core.multiply(core.inverse(base), x)
+    cur = base.index
     witness = base
-    cur = base
     steps = []
     for g in twisted_reduced_word(sub, y):
-        j, verdict = _step(sys, cur.index, g)
-        cur = Element(sys, j)
-        replaced = False
-        if verdict is StepVerdict.EQUAL:
-            candidates = []
-            if core.bruhat_leq(witness, cur):
-                candidates.append((witness, False))
-            # witness*g is a member of the recorded coset too
-            moved = Element(sys, _times(sys, witness.index, g))
-            if moved.length <= witness.length and core.bruhat_leq(moved, cur):
-                candidates.append((moved, True))
-            if not candidates:
-                raise TheoremViolation(
-                    f"no dominated replacement for witness {witness.word_string()!r} "
-                    f"at {cur.word_string()!r} after {g.elt.word_string()!r}"
-                )
-            candidates.sort(key=lambda c: (c[0].length, c[0].index))
-            witness, replaced = candidates[0]
+        cur, verdict, w, replaced = _advance(sys, cur, witness.index, g)
+        if replaced:
+            witness = Element(sys, w)
         steps.append(
             DominationStep(
-                generator=g, prefix=cur, verdict=verdict, witness=witness, replaced=replaced
+                generator=g, prefix=Element(sys, cur), verdict=verdict,
+                witness=witness, replaced=replaced,
             )
         )
-    if cur != x:
+    if cur != x.index:
         raise TheoremViolation(
             f"twisted word from {base.word_string()!r} ended at "
-            f"{cur.word_string()!r}, not {x.word_string()!r}"
+            f"{sys.element(cur).word_string()!r}, not {x.word_string()!r}"
         )
     if not part.is_min_in(c, witness) or not core.bruhat_leq(witness, x):
         raise TheoremViolation(

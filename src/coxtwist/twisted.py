@@ -7,7 +7,10 @@ parabolics: a fixed generator s contributes s, a swapped pair {s, t} with
 finite m(s, t) contributes the longest element of the dihedral on {s, t}.
 Pairs with m = infinity contribute nothing and are reported as skipped.
 Every product by a twisted generator goes through _times: the fixed
-subgroup is the closure (_close) of the identity, a coset x * H that of x.
+subgroup is the closure (_close) of the identity.  Its greedy twisted words
+are prefix-closed, word(z) = word(z*g) + (g,), so they form a tree rooted at
+the identity (_word_tree).  Cosets x * H are filled down that tree, and the
+verify suites walk it.
 """
 from __future__ import annotations
 
@@ -159,6 +162,33 @@ class TwistedSubgroup:
         return f"TwistedSubgroup(order={self.order}, gens={len(self.gens)})"
 
 
+def _word_tree(sub: TwistedSubgroup) -> list[tuple[int, int, TwistedGenerator]]:
+    """The twisted-word tree as (z, parent, g) rows in ShortLex order.
+
+    z and parent are positions in sub.elements; g is the last letter of z's
+    memoized word and parent the first member whose memoized word is that
+    word without g, so the row says z = parent * g.  The rows are read from the
+    memo, so a corrupted word reaches every walk down the tree; a word that
+    does not extend the word of a shorter member raises TheoremViolation.
+    """
+    memo = sub._reduced_word_cache
+    elements = sub.elements
+    at: dict[tuple[TwistedGenerator, ...], int] = {}
+    for k, z in enumerate(elements):
+        at.setdefault(memo[z.index], k)
+    rows = []
+    for k in range(1, len(elements)):  # position 0 is the identity, the root
+        word = memo[elements[k].index]
+        parent = at.get(word[:-1]) if word else None
+        if parent is None or parent >= k:
+            raise TheoremViolation(
+                f"twisted word of {elements[k].word_string()!r} does not extend "
+                "the word of a shorter member"
+            )
+        rows.append((k, parent, word[-1]))
+    return rows
+
+
 def validate_automorphism(sys: CoxeterSystem, L: Iterable[int], mapping: Mapping[int, int]) -> DiagramAutomorphism:
     """Check involutivity and bond preservation; unlisted members of L are fixed."""
     L = frozenset(L)
@@ -231,7 +261,10 @@ def apply_theta(theta: DiagramAutomorphism, w: Element) -> Element:
     for a in word:
         if a not in theta.L:
             raise NotInWL(f"letter {a + 1} of {w.word_string()!r} is outside L")
-    return core.element_from_word(theta.system, (theta.mapping[a] for a in word))
+    # a list, not a generator: tuple() over a generator allocates by a
+    # guessed size and resizes, which moves a block from one tuple free list
+    # to another on every call and fills the free lists of the other sizes
+    return core.element_from_word(theta.system, [theta.mapping[a] for a in word])
 
 
 def is_fixed(theta: DiagramAutomorphism, w: Element) -> bool:

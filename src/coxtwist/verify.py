@@ -3,9 +3,16 @@
 The Bruhat oracle here is built straight from the definition (transitive
 closure of x -> x*t over reflections t with a length increase) and never
 calls core.bruhat_leq, so the two sides of the oracle-agreement suite stay
-independent.  The remaining suites replay the structural guarantees of the
+independent.  The remaining suites check the structural guarantees of the
 twisted and coset modules over whole groups, recording every counterexample
-as a tuple of serialized canonical words.
+as a tuple of serialized canonical words.  The coset suites read each coset
+once from the shared partition (cosets._cosets).  step-dichotomy and
+dominated-minimal-search walk the twisted-word tree of the subgroup
+(twisted._word_tree) in index space, one walk per minimal member or per
+coset, not one replay of a whole twisted word per pair: the words are
+prefix-closed, so each edge of the tree is one step of every word through
+it, judged once by the coset module's own step rules (cosets._step,
+cosets._advance).
 
 run_suite accepts a config document with a ``corrupt`` key used as a
 negative-control fixture in tests: it deterministically flips a sparse set
@@ -15,11 +22,12 @@ from __future__ import annotations
 
 import random
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 
 from . import core, cosets, twisted
 from .core import CoxeterSystem, Element
-from .cosets import TwistedSubgroup
+from .cosets import StepVerdict, TwistedSubgroup
 from .descriptions import GroupDescription, RealizedCase
 from .errors import CapExceeded, CoxeterError
 from .twisted import GeneratorParity
@@ -290,21 +298,23 @@ def check_coset_partition(sub: TwistedSubgroup, label: str = "") -> Verification
     """Cosets of the fixed subgroup tile the group without overlap, and each
     reported coset equals rep * H recomputed by plain multiplication."""
     sys = sub.system
-    analyses = cosets.all_cosets(sub)
     seen: set[int] = set()
+    checked = 0
     failures = []
-    for a in analyses:
-        got = [w.index for w in a.members]
+    for members, _ in cosets._cosets(sub):
+        checked += 1
+        rep = sys.element(members[0])
+        got = list(members)
         if len(got) != sub.order:
-            failures.append((a.rep.word_string(), "size"))
-        elif got != sorted(core.multiply(a.rep, z).index for z in sub.elements):
-            failures.append((a.rep.word_string(), "members"))
+            failures.append((rep.word_string(), "size"))
+        elif got != sorted(core.multiply(rep, z).index for z in sub.elements):
+            failures.append((rep.word_string(), "members"))
         if seen.intersection(got):
-            failures.append((a.rep.word_string(), "overlap"))
+            failures.append((rep.word_string(), "overlap"))
         seen.update(got)
     if len(seen) != sys.size:
         failures.append(("partition", "union"))
-    return VerificationReport("coset-partition", label, len(analyses), tuple(failures))
+    return VerificationReport("coset-partition", label, checked, tuple(failures))
 
 
 def check_bruhat_minimal_equality(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
@@ -313,25 +323,27 @@ def check_bruhat_minimal_equality(sub: TwistedSubgroup, label: str = "") -> Veri
     below = _below_masks(sys)
     checked = 0
     failures = []
-    for a in cosets.all_cosets(sub):
-        min_idx = {w.index for w in a.min_set}
-        for w in a.members:
+    for members, nmin in cosets._cosets(sub):
+        min_idx = set(members[:nmin])
+        for w in members:
             checked += 1
-            bruhat_minimal = not any(
-                v.index != w.index and (below[w.index] >> v.index) & 1 for v in a.members
-            )
-            if bruhat_minimal != (w.index in min_idx):
-                failures.append((a.rep.word_string(), w.word_string()))
+            bruhat_minimal = not any(v != w and (below[w] >> v) & 1 for v in members)
+            if bruhat_minimal != (w in min_idx):
+                failures.append(
+                    (sys.element(members[0]).word_string(), sys.element(w).word_string())
+                )
     return VerificationReport("bruhat-minimal-equality", label, checked, tuple(failures))
 
 
 def check_minimal_chains(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """Any two minimal members are linked through the minimal set."""
+    sys = sub.system
     checked = 0
     failures = []
-    for a in cosets.all_cosets(sub):
-        for u in a.min_set:
-            for v in a.min_set:
+    for members, nmin in cosets._cosets(sub):
+        mins = [sys.element(i) for i in members[:nmin]]
+        for u in mins:
+            for v in mins:
                 if u == v:
                     continue
                 checked += 1
@@ -344,37 +356,104 @@ def check_minimal_chains(sub: TwistedSubgroup, label: str = "") -> VerificationR
 
 def check_step_dichotomy(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """From a minimal element, every twisted-word step keeps the length
-    (even generators only) or ascends in the Bruhat order."""
+    (even generators only) or ascends in the Bruhat order.
+
+    One walk down the twisted-word tree per minimal u sets cur[z] to
+    cur[parent] * g by the step rule, checking each edge once.  The pair
+    (u, z) fails when a step on the way to z fails, as a replay of z's whole
+    word from u would, and also when cur[z] lies outside u's coset or is
+    reached by another z too: the walk from u must reach each member of the
+    coset exactly once.
+    """
+    sys = sub.system
+    elements = sub.elements
+    h = len(elements)
+    rows = twisted._word_tree(sub)
+    step = cosets._step
     checked = 0
     failures = []
-    for a in cosets.all_cosets(sub):
-        for u in a.min_set:
-            for z in sub.elements:
-                checked += 1
+    for members, nmin in cosets._cosets(sub):
+        coset = set(members)
+        for u in members[:nmin]:
+            checked += h
+            cur = [u] + [-1] * (h - 1)  # -1: a step on the way to z failed
+            for z, parent, g in rows:
+                i = cur[parent]
+                if i < 0:
+                    continue
                 try:
-                    cosets.escalation_trace(sub, u, z)
+                    j, verdict = step(sys, i, g)
                 except CoxeterError:
-                    failures.append((u.word_string(), z.word_string()))
+                    continue
+                if verdict is StepVerdict.BRUHAT_UP and not core.bruhat_leq(
+                    Element(sys, i), Element(sys, j)
+                ):
+                    continue
+                cur[z] = j
+            if set(cur) == coset:
+                continue
+            reached = Counter(cur)
+            uw = sys.element(u).word_string()
+            for z, j in enumerate(cur):
+                if j not in coset or reached[j] > 1:
+                    failures.append((uw, elements[z].word_string()))
     return VerificationReport("step-dichotomy", label, checked, tuple(failures))
 
 
+def _carried_witnesses(
+    sub: TwistedSubgroup, rows: list[tuple[int, int, twisted.TwistedGenerator]], base: int
+) -> dict[int, int | None]:
+    """Member -> the witness dominate's (cur, witness) state reaches there,
+    carried down the twisted-word tree from the coset's base by
+    cosets._advance; None for a member the walk reaches more than once.  A
+    member is absent when the walk misses it, as when a step on the way to
+    it fails."""
+    sys = sub.system
+    advance = cosets._advance
+    cur = [base] + [-1] * (len(sub.elements) - 1)  # -1: a step on the way to z failed
+    wit = cur[:]
+    for z, parent, g in rows:
+        i = cur[parent]
+        if i < 0:
+            continue
+        try:
+            cur[z], _, wit[z], _ = advance(sys, i, wit[parent], g)
+        except CoxeterError:
+            pass
+    out: dict[int, int | None] = {}
+    for z, j in enumerate(cur):
+        if j >= 0:
+            out[j] = None if j in out else wit[z]
+    return out
+
+
 def check_dominated_search(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
-    """The constructive dominated-minimal witness matches exhaustive search."""
+    """The constructive dominated-minimal witness matches exhaustive search.
+
+    Each coset carries dominate's state down the twisted-word tree once
+    (_carried_witnesses), so the witness of base * z is the one dominate
+    builds along z's word.  A minimal member is its own witness.  Any other
+    member fails its construction when a step on the way to it fails, when
+    the walk reaches it more than once or not at all, or when its witness is
+    not a minimal member below it.
+    """
     sys = sub.system
     below = _below_masks(sys)
+    rows = twisted._word_tree(sub)
     checked = 0
     failures = []
-    for a in cosets.all_cosets(sub):
-        for x in a.members:
+    for members, nmin in cosets._cosets(sub):
+        witnesses = _carried_witnesses(sub, rows, members[0])
+        mins = set(members[:nmin])
+        for k, x in enumerate(members):
             checked += 1
-            exhaustive = {v.index for v in a.min_set if (below[x.index] >> v.index) & 1}
-            try:
-                w = cosets.dominated_minimal(sub, x)
-            except CoxeterError:
-                failures.append((x.word_string(), "construction"))
-                continue
-            if not exhaustive or w.index not in exhaustive:
-                failures.append((x.word_string(), w.word_string()))
+            w = x if k < nmin else witnesses.get(x)
+            if w is None or w not in mins or not core.bruhat_leq(
+                Element(sys, w), Element(sys, x)
+            ):
+                failures.append((sys.element(x).word_string(), "construction"))
+            elif not (below[x] >> w) & 1:
+                failures.append((sys.element(x).word_string(), sys.element(w).word_string()))
     return VerificationReport("dominated-minimal-search", label, checked, tuple(failures))
 
 

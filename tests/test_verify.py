@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 import coxtwist as ct
-from coxtwist import verify
+from coxtwist import cosets, twisted, verify
 from conftest import a_system, dihedral
 
 import permutation_models as pm
@@ -99,6 +99,8 @@ def test_corrupt_reduced_word_memo_is_detected(monkeypatch):
     assert sub.elements[1].length != sub.elements[-1].length
     for z in sub.elements:
         ct.twisted_reduced_word(sub, z)
+    # the partition is recorded from the healthy memo
+    ct.all_cosets(sub)
     memo = sub._reduced_word_cache
     # the longest element now reads as a single generator
     memo[sub.elements[-1].index] = memo[sub.elements[1].index]
@@ -107,7 +109,23 @@ def test_corrupt_reduced_word_memo_is_detected(monkeypatch):
     assert not run.ok
     failing = {r.suite for r in run.reports if r.failures}
     assert failing and failing <= WORD_SUITES
-    assert "length-additivity" in failing
+    assert {"length-additivity", "step-dichotomy", "dominated-minimal-search"} <= failing
+    # the tree walks ran to the end, and their coverage checks caught the
+    # word: from each base the walks of elements[1] and of the longest
+    # element reach the same member, and base * longest is never reached
+    reports = {r.suite: r for r in run.reports}
+    assert reports["step-dichotomy"].checked == 3952
+    assert reports["dominated-minimal-search"].checked == 1152
+    twice = (sub.elements[1], sub.elements[-1])
+    assert set(reports["step-dichotomy"].failures) == {
+        (u.word_string(), z.word_string())
+        for a in ct.all_cosets(sub) for u in a.min_set for z in twice
+    }
+    assert set(reports["dominated-minimal-search"].failures) == {
+        (x.word_string(), "construction")
+        for a in ct.all_cosets(sub) for z in twice
+        for x in [ct.multiply(a.rep, z)] if x not in a.min_set
+    }
 
 
 PARITY_SUITES = WORD_SUITES | {"generator-parity"}
@@ -131,6 +149,75 @@ def test_wrong_generator_parity_is_detected(monkeypatch, k):
     healthy = {"generator-parity": 2, "length-additivity": 16, "minimal-chains": 970,
                "step-dichotomy": 3952, "dominated-minimal-search": 1152}
     assert {r.suite: r.checked for r in run.reports} == healthy
+
+
+def replayed_step_failures(sub):
+    """step-dichotomy's failures by one escalation_trace per (u, z) pair."""
+    failures = []
+    for a in ct.all_cosets(sub):
+        for u in a.min_set:
+            for z in sub.elements:
+                try:
+                    ct.escalation_trace(sub, u, z)
+                except ct.CoxeterError:
+                    failures.append((u.word_string(), z.word_string()))
+    return failures
+
+
+def replayed_dominate_failures(sub):
+    """dominated-minimal-search's failures by one dominate per member."""
+    below = verify._below_masks(sub.system)
+    failures = []
+    for a in ct.all_cosets(sub):
+        for x in a.members:
+            exhaustive = {v.index for v in a.min_set if (below[x.index] >> v.index) & 1}
+            try:
+                w = ct.dominated_minimal(sub, x)
+            except ct.CoxeterError:
+                failures.append((x.word_string(), "construction"))
+                continue
+            if w.index not in exhaustive:
+                failures.append((x.word_string(), w.word_string()))
+    return failures
+
+
+def test_tree_walks_fail_like_per_pair_replays(monkeypatch):
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys, sub = case.system, case.subgroup
+    assert verify.check_step_dichotomy(sub, "F4").ok
+    assert verify.check_dominated_search(sub, "F4").ok
+    target = (ct.coset(sub, sys.gens()[0]).min_set[-1].index, sub.gens[1])
+    step = cosets._step
+
+    def broken(system, i, g):
+        if (i, g) == target:
+            raise ct.TheoremViolation("planted")
+        return step(system, i, g)
+
+    monkeypatch.setattr(cosets, "_step", broken)
+    report = verify.check_step_dichotomy(sub, "F4")
+    assert report.failures
+    assert list(report.failures) == replayed_step_failures(sub)
+    report = verify.check_dominated_search(sub, "F4")
+    assert report.failures
+    assert list(report.failures) == replayed_dominate_failures(sub)
+
+
+@pytest.mark.parametrize("doc, count", [
+    ({"type": "A5", "theta": [[1, 5], [2, 4]]}, 665),
+    (F4_SWAP, 905),
+    ({"type": "D5", "theta": [[4, 5]]}, 1911),
+], ids=["A5", "F4", "D5"])
+def test_carried_witness_is_dominates_witness(doc, count):
+    sub = ct.GroupDescription.from_dict(doc).build().subgroup
+    rows = twisted._word_tree(sub)
+    compared = 0
+    for a in ct.all_cosets(sub):
+        witnesses = verify._carried_witnesses(sub, rows, a.rep.index)
+        for x in a.members[len(a.min_set):]:
+            assert witnesses[x.index] == ct.dominate(sub, x).witness.index
+            compared += 1
+    assert compared == count
 
 
 def test_reduced_word_memo_holds_no_reference_cycle():
