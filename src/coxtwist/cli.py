@@ -121,14 +121,12 @@ def cmd_dominate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.file:
-        config = _read_json(args.file)
+    config = _read_json(args.file) if args.file else verify.default_config()
+    if isinstance(config, dict):  # run_suite rejects any other document
         if "cases" not in config:
             config = {"cases": [config]}
-    else:
-        config = verify.default_config()
-    if args.seed is not None:
-        config["seed"] = args.seed
+        if args.seed is not None:
+            config["seed"] = args.seed
     run = verify.run_suite(config)
     if args.json:
         print(json.dumps(run.to_records(), indent=2))

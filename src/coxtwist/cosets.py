@@ -10,9 +10,9 @@ Coset facts are computed once per subgroup: the first question about any
 member u of a coset walks u down the twisted-word tree of the subgroup
 (u * z = (u * parent) * g on each row) and records the sorted members in a
 partition shared by every later call (coset, min_set, is_minimal,
-connect_minimals, escalation_trace, dominate, all_cosets).
-Twisted reduced words come from the subgroup's table in twisted.py, each
-stripped and checked once.
+connect_minimals, escalation_trace, dominate, all_cosets), with each
+member's tree position, so the quotient u^-1 * v of two members is a walk
+in the subgroup's table (twisted._quotient), never a walk in W.
 
 Every product of a member w by a twisted generator g is walked as
 p * (q * g) by twisted._times, where w = p * q splits off the part q of w
@@ -39,7 +39,7 @@ from .errors import (
     NotSameCoset,
     TheoremViolation,
 )
-from .twisted import TwistedGenerator, TwistedSubgroup, _times, _word_tree, twisted_reduced_word
+from .twisted import TwistedGenerator, TwistedSubgroup, _quotient, _times, _word_tree, twisted_reduced_word
 
 _NICKNAMES = "xyzuvw"
 
@@ -110,19 +110,20 @@ class _CosetPartition:
     cid[i] is the coset id of element index i, or -1 while its coset is
     untouched.  Coset c's member indices sit sorted at members[c*h:(c+1)*h];
     indices follow ShortLex order, hence length, so the first nmin[c] of
-    them are its minimal members.  tree holds the subgroup's twisted-word
-    tree as it stood when the partition was made.  The partition keeps no
-    reference to its subgroup, so it never closes a reference cycle through
-    it.
+    them are its minimal members; member i is r * elements[zpos[i]], r the
+    coset's first touched member.  tree is the subgroup's twisted-word tree
+    when the partition was made.  The partition keeps no reference to its
+    subgroup, so it never closes a reference cycle through it.
     """
 
-    __slots__ = ("system", "h", "tree", "cid", "members", "nmin")
+    __slots__ = ("system", "h", "tree", "cid", "zpos", "members", "nmin")
 
     def __init__(self, sub: TwistedSubgroup):
         self.system = sub.system
         self.h = sub.order
         self.tree = _word_tree(sub)
         self.cid = array("i", [-1]) * sub.system.size
+        self.zpos = array("i", [-1]) * sub.system.size
         self.members = array("i")
         self.nmin = array("i")
 
@@ -154,8 +155,9 @@ class _CosetPartition:
                     f"of {sys.element(self.members[cid[j] * self.h]).word_string()!r}"
                 )
         c = len(self.nmin)
-        for j in found:
+        for z, j in enumerate(at):
             cid[j] = c
+            self.zpos[j] = z
         self.members.extend(found)
         words = sys.words
         low = len(words[found[0]])
@@ -307,7 +309,7 @@ def connect_minimals(sub: TwistedSubgroup, u: Element, v: Element) -> list[Eleme
     for w in (u, v):
         if not part.is_min_in(c, w):
             raise NotMinimal(f"{w.word_string()!r} is not minimal in its coset")
-    y = core.multiply(core.inverse(u), v)
+    y = sub.elements[_quotient(sub, part.zpos[u.index], part.zpos[v.index])]
     sys = sub.system
     chain = [u]
     i = u.index
@@ -369,7 +371,7 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
         return DominationResult(target=x, base=x, witness=x, steps=())
     sys = x.system
     base = Element(sys, part.members[c * part.h])
-    y = core.multiply(core.inverse(base), x)
+    y = sub.elements[_quotient(sub, part.zpos[base.index], part.zpos[x.index])]
     cur = base.index
     witness = base
     steps = []

@@ -6,16 +6,19 @@ whose canonical generators are the longest elements of the finite orbit
 parabolics: a fixed generator s contributes s, a swapped pair {s, t} with
 finite m(s, t) contributes the longest element of the dihedral on {s, t}.
 Pairs with m = infinity contribute nothing and are reported as skipped.
-Every product by a twisted generator goes through _times: the fixed
-subgroup is the closure (_close) of the identity.  Its greedy twisted words
-are prefix-closed, word(z) = word(z*g) + (g,), so they form a tree rooted at
-the identity (_word_tree).  Cosets x * H are filled down that tree, and the
-verify suites walk it.
+Every product by a twisted generator goes through _times.  The fixed
+subgroup is stored like W, as ShortLex-ordered members and one table of
+products by the generators, filled by one closure of the identity.  Greedy
+twisted words are prefix-closed, word(z) = word(z*g) + (g,), so they form a
+tree rooted at the identity (_word_tree); words, the tree and quotients
+z^-1 * z' (_quotient) are read from the table.  Cosets x * H are filled
+down the tree, and the verify suites walk it.
 """
 from __future__ import annotations
 
 import enum
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -96,96 +99,75 @@ def _times(sys: CoxeterSystem, i: int, g: TwistedGenerator) -> int:
     return sys._walk(p, reversed(sys.words[r]))
 
 
-def _close(sys: CoxeterSystem, i: int, gens: Sequence[TwistedGenerator]) -> list[int]:
-    """Sorted indices of i * <gens>, closed breadth-first by _times: it
-    raises OutOfEnumeratedRegion only for a member outside the ball."""
-    seen = {i}
-    queue = [i]
-    for j in queue:
-        for g in gens:
-            k = _times(sys, j, g)
-            if k not in seen:
-                seen.add(k)
-                queue.append(k)
-    return sorted(seen)
-
-
 @dataclass(frozen=True)
 class TwistedSubgroup:
-    """The fixed subgroup of theta on W_L, fully enumerated."""
+    """The fixed subgroup of theta on W_L, members in ShortLex order, and
+    table[z][a] the position of elements[z] * gens[a]: a generator position,
+    so a copy with other gens reads its own."""
 
     system: CoxeterSystem
     theta: DiagramAutomorphism
     gens: tuple[TwistedGenerator, ...]
     skipped_orbits: tuple[tuple[int, ...], ...]
     elements: tuple[Element, ...]
+    table: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, w: Element) -> bool:
-        return w.system is self.system and w.index in self._index_set
+        return w.system is self.system and w.index in self._positions
 
     @functools.cached_property
-    def _index_set(self) -> frozenset[int]:
-        return frozenset(w.index for w in self.elements)
-
-    @functools.cached_property
-    def _reduced_word_cache(self) -> dict[int, tuple[TwistedGenerator, ...]]:
-        """Twisted reduced words of all members by index, in one ShortLex
-        pass: word(z) = word(z*g) + (g,) for the first g that shortens z.
-        It holds generators and indices only, never the subgroup, so it
-        closes no reference cycle through it.
-        """
-        words = self.system.words
-        memo = {0: ()}
-        for z in self.elements[1:]:  # elements[0] is the identity
-            for g in self.gens:
-                j = _times(self.system, z.index, g)
-                drop = z.length - len(words[j])
-                if drop > 0:
-                    if drop != g.elt.length:
-                        raise TheoremViolation(
-                            f"descent by {g.elt.word_string()!r} at {z.word_string()!r} "
-                            "dropped the length by less than the generator length"
-                        )
-                    memo[z.index] = memo[j] + (g,)
-                    break
-            else:
-                raise TheoremViolation(
-                    f"nonidentity fixed element {z.word_string()!r} has no descent"
-                )
-        return memo
+    def _positions(self) -> dict[int, int]:
+        return {w.index: k for k, w in enumerate(self.elements)}
 
     def __repr__(self):
         return f"TwistedSubgroup(order={self.order}, gens={len(self.gens)})"
 
 
-def _word_tree(sub: TwistedSubgroup) -> list[tuple[int, int, TwistedGenerator]]:
-    """The twisted-word tree as (z, parent, g) rows in ShortLex order.
+def _descent(row: Sequence[int], z: int) -> int:
+    """The first generator position a with row[a] < z, for z's row of
+    positions or of indices (both ShortLex-ordered) and z not the identity:
+    the last letter of z's greedy twisted word, and row[a] its parent."""
+    a = 0
+    while row[a] > z:  # no generator fixes z
+        a += 1
+    return a
 
-    z and parent are positions in sub.elements; g is the last letter of z's
-    memoized word and parent the first member whose memoized word is that
-    word without g, so the row says z = parent * g.  The rows are read from the
-    memo, so a corrupted word reaches every walk down the tree; a word that
-    does not extend the word of a shorter member raises TheoremViolation.
-    """
-    memo = sub._reduced_word_cache
-    elements = sub.elements
-    at: dict[tuple[TwistedGenerator, ...], int] = {}
-    for k, z in enumerate(elements):
-        at.setdefault(memo[z.index], k)
+
+def _chain(table: Sequence[Sequence[int]], z: int) -> list[int]:
+    """Generator positions of member z's twisted word, last letter first,
+    read up the parent chain to the identity."""
+    out = []
+    while z:
+        a = _descent(table[z], z)
+        out.append(a)
+        z = table[z][a]
+    return out
+
+
+def _quotient(sub: TwistedSubgroup, x: int, y: int) -> int:
+    """Position of elements[x]^-1 * elements[y], walked in the table; the
+    twisted generators are involutions, so x's chain spells its inverse."""
+    if not x:  # the identity, as for a coset first touched at its base
+        return y
+    table = sub.table
+    p = 0
+    for g in _chain(table, x) + _chain(table, y)[::-1]:
+        p = table[p][g]
+    return p
+
+
+def _word_tree(sub: TwistedSubgroup) -> list[tuple[int, int, TwistedGenerator]]:
+    """The twisted-word tree as (z, parent, g) rows in ShortLex order: z and
+    parent are positions in sub.elements and g is z's last letter, so z =
+    parent * g.  Read from the table, a corrupted entry reaches every walk."""
     rows = []
-    for k in range(1, len(elements)):  # position 0 is the identity, the root
-        word = memo[elements[k].index]
-        parent = at.get(word[:-1]) if word else None
-        if parent is None or parent >= k:
-            raise TheoremViolation(
-                f"twisted word of {elements[k].word_string()!r} does not extend "
-                "the word of a shorter member"
-            )
-        rows.append((k, parent, word[-1]))
+    for z in range(1, sub.order):  # position 0 is the identity, the root
+        a = _descent(sub.table[z], z)
+        rows.append((z, sub.table[z][a], sub.gens[a]))
     return rows
 
 
@@ -272,31 +254,48 @@ def is_fixed(theta: DiagramAutomorphism, w: Element) -> bool:
 
 
 def enumerate_fixed_subgroup(theta: DiagramAutomorphism) -> TwistedSubgroup:
-    """Close the identity under the twisted generators: the fixed subgroup."""
+    """Close the identity under the twisted generators: the fixed subgroup.
+
+    Members leave a heap in index order, each product z*g is one _times
+    call, and each nonidentity member's first descent must drop the whole
+    generator length, so it leaves the heap after its parent: sorted order.
+    """
     sys = theta.system
     gens = twisted_generators(theta)
+    words = sys.words
+    found, rows, seen, heap = [], [], {0}, [0]
     try:
-        found = _close(sys, 0, gens)
+        while heap:
+            i = heapq.heappop(heap)
+            row = [_times(sys, i, g) for g in gens]
+            a = _descent(row, i) if min(row, default=i) < i else None
+            if i and (a is None or len(words[i]) - len(words[row[a]]) != gens[a].elt.length):
+                raise TheoremViolation(
+                    f"fixed element {sys.element(i).word_string()!r} has no first descent "
+                    "that drops the whole generator length"
+                )
+            for j in row:
+                if j not in seen:
+                    seen.add(j)
+                    heapq.heappush(heap, j)
+            found.append(i)
+            rows.append(row)
     except OutOfEnumeratedRegion as e:
         raise CapExceeded(f"fixed subgroup did not close within {sys.cap} elements") from e
-    return TwistedSubgroup(
-        system=sys,
-        theta=theta,
-        gens=tuple(gens),
-        skipped_orbits=skipped_orbits(theta),
-        elements=tuple(Element(sys, i) for i in found),
-    )
+    at = {i: k for k, i in enumerate(found)}
+    elements = tuple(Element(sys, i) for i in found)
+    table = tuple(tuple(at[j] for j in row) for row in rows)
+    return TwistedSubgroup(sys, theta, tuple(gens), skipped_orbits(theta), elements, table)
 
 
 def twisted_reduced_word(sub: TwistedSubgroup, z: Element) -> list[TwistedGenerator]:
-    """Greedy reduced word for z over the twisted generators.
-
-    Strips, at each step, the first generator in declared order that lowers
-    the length; each strip must lower it by exactly the generator's length.
-    """
+    """Greedy reduced word for z over the twisted generators, read up z's
+    parent chain in the table: at each step, the first generator in
+    declared order that lowers the length."""
     if z not in sub:
         raise NotFixed(f"{z.word_string()!r} is not in the fixed subgroup")
-    return list(sub._reduced_word_cache[z.index])
+    gens = sub.gens
+    return [gens[a] for a in reversed(_chain(sub.table, sub._positions[z.index]))]
 
 
 def twisted_length(sub: TwistedSubgroup, z: Element) -> int:

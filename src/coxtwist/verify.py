@@ -6,13 +6,13 @@ calls core.bruhat_leq, so the two sides of the oracle-agreement suite stay
 independent.  The remaining suites check the structural guarantees of the
 twisted and coset modules over whole groups, recording every counterexample
 as a tuple of serialized canonical words.  The coset suites read each coset
-once from the shared partition (cosets._cosets).  step-dichotomy and
-dominated-minimal-search walk the twisted-word tree of the subgroup
+once from the shared partition (cosets._cosets).  The twisted words, chain
+quotients and tree rows they use are all read from the subgroup's table.
+step-dichotomy and dominated-minimal-search walk the twisted-word tree
 (twisted._word_tree) in index space, one walk per minimal member or per
-coset, not one replay of a whole twisted word per pair: the words are
-prefix-closed, so each edge of the tree is one step of every word through
-it, judged once by the coset module's own step rules (cosets._step,
-cosets._advance).
+coset: the words are prefix-closed, so each edge of the tree is one step of
+every word through it, judged once by the coset module's own step rules
+(cosets._step, cosets._advance).
 
 run_suite accepts a config document with a ``corrupt`` key used as a
 negative-control fixture in tests: it deterministically flips a sparse set
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from . import core, cosets, twisted
 from .core import CoxeterSystem, Element
 from .cosets import StepVerdict, TwistedSubgroup
-from .descriptions import GroupDescription, RealizedCase
-from .errors import CapExceeded, CoxeterError
+from .descriptions import GroupDescription
+from .errors import CapExceeded, CoxeterError, DescriptionError
 from .twisted import GeneratorParity
 
 DEFAULT_SEED = 271828
@@ -280,11 +280,10 @@ def check_fixed_subgroup_equality(sub: TwistedSubgroup, label: str = "") -> Veri
     if not complete:
         raise CapExceeded("W_L did not close within the enumerated region")
     failures = []
-    member = sub._index_set
     ball_idx = set()
     for w in ball:
         ball_idx.add(w.index)
-        if twisted.is_fixed(theta, w) != (w.index in member):
+        if twisted.is_fixed(theta, w) != (w in sub):
             failures.append((w.word_string(),))
     for z in sub.elements:
         if z.index not in ball_idx:
@@ -492,13 +491,6 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _run_one(name: str, case: RealizedCase, label: str, seed: int, corrupt: str | None) -> VerificationReport:
-    check = _SUITES.get(name)
-    if check is None:
-        raise ValueError(f"unknown suite {name!r}")
-    return check(case, label, seed, corrupt)
-
-
 def default_config() -> dict:
     """The bundled verification config: small twisted cases plus F4."""
     cases = [
@@ -517,22 +509,30 @@ def default_config() -> dict:
 def run_suite(config: dict | None = None) -> VerificationRun:
     """Run the configured suites over the configured systems.
 
-    Errors inside a suite become failure records; config problems raise.
+    Suite errors become failure records; config problems raise DescriptionError.
     """
     if config is None:
         config = default_config()
+    if not isinstance(config, dict) or not isinstance(config.get("cases"), list):
+        raise DescriptionError("verify config must be an object with a list of 'cases'")
     seed = config.get("seed", DEFAULT_SEED)
     corrupt = config.get("corrupt")
     reports = []
     for case_doc in config["cases"]:
+        if not isinstance(case_doc, dict):
+            raise DescriptionError("each verify case must be a JSON object")
         case_doc = dict(case_doc)
         suites = case_doc.pop("suites", None) or SUITE_NAMES
+        if not isinstance(suites, (list, tuple)):
+            raise DescriptionError("'suites' must be a list of suite names")
+        for suite_name in suites:
+            if not isinstance(suite_name, str) or suite_name not in _SUITES:
+                raise DescriptionError(f"unknown suite {suite_name!r}")
         label = case_doc.get("name") or "case"
-        description = GroupDescription.from_dict(case_doc)
-        case = description.build()
+        case = GroupDescription.from_dict(case_doc).build()
         for suite_name in suites:
             try:
-                reports.append(_run_one(suite_name, case, label, seed, corrupt))
+                reports.append(_SUITES[suite_name](case, label, seed, corrupt))
             except CoxeterError as e:
                 reports.append(
                     VerificationReport(suite_name, label, 0, ((f"error: {e}",),))

@@ -193,6 +193,19 @@ def test_verify_config_errors_exit_two(tmp_path, capsys):
     assert main(["verify", str(invalid)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
 
+    malformed = [
+        [1, 2],
+        42,
+        {"cases": "x"},
+        {"cases": [1]},
+        {"type": "A2", "suites": ["nope"]},
+        {"cases": [{"type": "A2", "suites": "step-dichotomy"}]},
+    ]
+    for doc in malformed:
+        invalid.write_text(json.dumps(doc))
+        assert main(["verify", str(invalid)]) == 2, doc
+        assert capsys.readouterr().err.startswith("error: "), doc
+
 
 def test_truncation_exits_three(tmp_path, capsys):
     swapped = tmp_path / "infinite-swap.json"

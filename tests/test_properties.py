@@ -97,6 +97,9 @@ def greedy_strip(sub, z):
 ))
 def test_twisted_words_are_additive(case):
     sub, order = case
+    position = {z: k for k, z in enumerate(sub.elements)}
+    for k, z in enumerate(sub.elements):
+        assert list(sub.table[k]) == [position[ct.multiply(z, g.elt)] for g in sub.gens]
     for z in order:
         word = ct.twisted_reduced_word(sub, z)
         out = sub.system.identity

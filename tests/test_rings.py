@@ -1,8 +1,11 @@
 """Exact integer arithmetic in the cosine rings behind the enumeration."""
 
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxtwist.rings import (
     CosineRing,
@@ -113,6 +116,33 @@ def test_two_cos_of_a_dividing_order_is_a_polynomial_in_the_factor(orders):
     assert [m for m, _, _ in ring.factors] == [max(orders)]
     for m in orders:
         assert abs(ring_value(ring, ring.two_cos(m)) - 2.0 * math.cos(math.pi / m)) < 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def cached_ring(orders):
+    return CosineRing(orders)
+
+
+@st.composite
+def ring_cases(draw):
+    """Up to three finite orders in 2..12, their ring (dimension at most 80)
+    and two elements of it with small integer coefficients."""
+    orders = frozenset(draw(st.sets(st.integers(2, 12), max_size=3)))
+    ring = cached_ring(orders)
+    vectors = st.lists(st.integers(-3, 3), min_size=ring.dim, max_size=ring.dim)
+    return orders, ring, tuple(draw(vectors)), tuple(draw(vectors))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ring_cases())
+def test_ring_arithmetic_matches_real_values(case):
+    orders, ring, a, b = case
+    for m in orders:
+        assert abs(ring_value(ring, ring.two_cos(m)) - 2.0 * math.cos(math.pi / m)) < 1e-9
+    # every basis monomial is positive, so this bounds the rounding error
+    scale = ring_value(ring, tuple(map(abs, a))) * ring_value(ring, tuple(map(abs, b)))
+    got = ring_value(ring, ring.mul(a, b))
+    assert abs(got - ring_value(ring, a) * ring_value(ring, b)) <= 1e-9 * (1 + scale)
 
 
 def test_ring_integer_embedding():
