@@ -3,16 +3,22 @@
 The Bruhat oracle here is built straight from the definition (transitive
 closure of x -> x*t over reflections t with a length increase) and never
 calls core.bruhat_leq, so the two sides of the oracle-agreement suite stay
-independent.  The remaining suites check the structural guarantees of the
-twisted and coset modules over whole groups, recording every counterexample
-as a tuple of serialized canonical words.  The coset suites read each coset
-once from the shared partition (cosets._cosets).  The twisted words, chain
-quotients and tree rows they use are all read from the subgroup's table.
-step-dichotomy and dominated-minimal-search walk the twisted-word tree
-(twisted._word_tree) in index space, one walk per minimal member or per
-coset: the words are prefix-closed, so each edge of the tree is one step of
-every word through it, judged once by the coset module's own step rules
-(cosets._step, cosets._advance).
+independent.  It reads x*t from one right-multiplication column per
+reflection (_reflection_columns): the generator columns of the table,
+conjugated as i*(sts) = ((i*s)*t)*s until no new reflection appears.  The
+remaining suites check the structural guarantees of the twisted and coset
+modules over whole groups, recording every counterexample as a tuple of
+serialized canonical words.  The lemma suites read each product i*g from
+g's column (_column), and fixed-subgroup-equality finds W_L and the
+theta-image of each of its members in one breadth-first pass over the
+table.  The coset suites read each coset once from the shared partition
+(cosets._cosets).  The twisted words, chain quotients and tree rows they
+use are all read from the subgroup's table.  step-dichotomy and
+dominated-minimal-search walk the twisted-word tree (twisted._word_tree) in
+index space, one walk per minimal member or per coset: the words are
+prefix-closed, so each edge of the tree is one step of every word through
+it, judged once by the coset module's own step rules (cosets._step,
+cosets._advance).
 
 run_suite accepts a config document with a ``corrupt`` key used as a
 negative-control fixture in tests: it deterministically flips a sparse set
@@ -29,7 +35,7 @@ from . import core, cosets, twisted
 from .core import CoxeterSystem, Element
 from .cosets import StepVerdict, TwistedSubgroup
 from .descriptions import GroupDescription
-from .errors import CapExceeded, CoxeterError, DescriptionError
+from .errors import CapExceeded, CoxeterError, DescriptionError, OutOfEnumeratedRegion
 from .twisted import GeneratorParity
 
 DEFAULT_SEED = 271828
@@ -118,6 +124,37 @@ class VerificationRun:
 _MASKS: weakref.WeakKeyDictionary[CoxeterSystem, list[int]] = weakref.WeakKeyDictionary()
 
 
+def _column(sys: CoxeterSystem, word) -> list[int]:
+    """col[i] is the index of element i times ``word``, composed from the
+    generator columns of the table one letter at a time."""
+    table = sys._table
+    col = list(range(sys.size))
+    for s in word:
+        col = [table[j][s] for j in col]
+        if None in col:
+            raise OutOfEnumeratedRegion(
+                f"product escapes the enumerated ball of {sys.size} elements"
+            )
+    return col
+
+
+def _reflection_columns(sys: CoxeterSystem) -> list[list[int]]:
+    """One column per reflection of a complete system, col[0] being the
+    reflection itself: the closure of the generator columns under
+    conjugation, i*(sts) = ((i*s)*t)*s."""
+    table = sys._table
+    gens = [[row[s] for row in table] for s in range(sys.rank)]
+    cols = gens[:]
+    found = {c[0] for c in cols}
+    for ct in cols:  # grows while it is read
+        for cs in gens:
+            t = cs[ct[cs[0]]]
+            if t not in found:
+                found.add(t)
+                cols.append([cs[ct[j]] for j in cs])
+    return cols
+
+
 def _below_masks(sys: CoxeterSystem) -> list[int]:
     """below[i] is the bitmask of indices u with u <= element i, computed as
     the transitive closure of the reflection-ascent relation."""
@@ -126,15 +163,14 @@ def _below_masks(sys: CoxeterSystem) -> list[int]:
         return below
     if not sys.complete:
         raise CapExceeded("the Bruhat oracle needs a fully enumerated group")
-    ref_words = [t.word for t in core.reflections(sys)]
-    words = sys.words
+    cols = _reflection_columns(sys)
+    lengths = [len(w) for w in sys.words]
     below = [0] * sys.size
-    for i in range(sys.size):
+    for i, li in enumerate(lengths):
         mask = 1 << i
-        li = len(words[i])
-        for rw in ref_words:
-            j = sys._walk(i, rw)
-            if len(words[j]) < li:
+        for c in cols:
+            j = c[i]
+            if lengths[j] < li:
                 mask |= below[j]
         below[i] = mask
     _MASKS[sys] = below
@@ -197,16 +233,17 @@ def check_lemma_commuting_reflections(sys: CoxeterSystem, label: str = "") -> Ve
 
 def check_lemma_long_gen(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """A length ascent by a twisted generator is a Bruhat ascent."""
+    lengths = [len(w) for w in sys.words]
     checked = 0
     failures = []
     for g in sub.gens:
-        for i in range(sys.size):
-            u = sys.element(i)
-            ux = core.multiply(u, g.elt)
-            if ux.length <= u.length:
+        col = _column(sys, g.elt.word)
+        for i, j in enumerate(col):
+            if lengths[j] <= lengths[i]:
                 continue
             checked += 1
-            if not core.bruhat_leq(u, ux):
+            u = Element(sys, i)
+            if not core.bruhat_leq(u, Element(sys, j)):
                 failures.append((u.word_string(), g.elt.word_string()))
     return VerificationReport("ascent-implies-bruhat", label, checked, tuple(failures))
 
@@ -215,27 +252,24 @@ def check_lemma_corr(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = "") 
     """If u <= w and the twisted generator x keeps the length of w, then u
     or u*x stays dominated by w*x without growing."""
     below = _below_masks(sys)
-    words = sys.words
+    lengths = [len(w) for w in sys.words]
     checked = 0
     failures = []
     for g in sub.gens:
-        gw = g.elt.word
-        for iw in range(sys.size):
-            iwx = sys._walk(iw, gw)
-            if len(words[iwx]) != len(words[iw]):
+        col = _column(sys, g.elt.word)
+        for iw, iwx in enumerate(col):
+            if lengths[iwx] != lengths[iw]:
                 continue
             dominated = below[iw]
             target = below[iwx]
-            easy = dominated & target
-            checked += easy.bit_count()
+            checked += dominated.bit_count()
             rest = dominated & ~target
             while rest:
                 lsb = rest & -rest
                 iu = lsb.bit_length() - 1
                 rest ^= lsb
-                checked += 1
-                iux = sys._walk(iu, gw)
-                if len(words[iux]) <= len(words[iu]) and (target >> iux) & 1:
+                iux = col[iu]
+                if lengths[iux] <= lengths[iu] and (target >> iux) & 1:
                     continue
                 failures.append(
                     (
@@ -271,25 +305,37 @@ def check_generator_parity(sub: TwistedSubgroup, label: str = "") -> Verificatio
 
 
 def check_fixed_subgroup_equality(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
-    """The closure of the twisted generators equals the fixed-point filter
-    of the parabolic W_L, checked element by element."""
+    """The closure of the twisted generators equals the fixed-point set of
+    theta on the parabolic W_L.  One breadth-first pass over the table finds
+    W_L and the image of each member, image[i*s] = image[i] * theta(s)."""
     sys = sub.system
+    table = sys._table
     theta = sub.theta
-    gen_elts = [sys.element(sys._table[0][s]) for s in sorted(theta.L)]
-    ball, complete = core.enumerate_ball(sys, gen_elts)
-    if not complete:
-        raise CapExceeded("W_L did not close within the enumerated region")
-    failures = []
-    ball_idx = set()
-    for w in ball:
-        ball_idx.add(w.index)
-        if twisted.is_fixed(theta, w) != (w in sub):
-            failures.append((w.word_string(),))
+    moves = [(s, theta(s)) for s in sorted(theta.L)]
+    image = {0: 0}
+    queue = [0]
+    for i in queue:
+        row, image_row = table[i], table[image[i]]
+        for s, ts in moves:
+            j = row[s]
+            if j in image:
+                continue
+            k = image_row[ts]
+            if j is None or k is None:
+                raise CapExceeded("W_L did not close within the enumerated region")
+            image[j] = k
+            queue.append(j)
+    positions = sub._positions
+    failures = [
+        (sys.element(w).word_string(),)
+        for w in sorted(image)
+        if (image[w] == w) != (w in positions)
+    ]
     for z in sub.elements:
-        if z.index not in ball_idx:
+        if z.index not in image:
             failures.append((z.word_string(),))
     return VerificationReport(
-        "fixed-subgroup-equality", label, len(ball), tuple(failures)
+        "fixed-subgroup-equality", label, len(image), tuple(failures)
     )
 
 
@@ -509,7 +555,8 @@ def default_config() -> dict:
 def run_suite(config: dict | None = None) -> VerificationRun:
     """Run the configured suites over the configured systems.
 
-    Suite errors become failure records; config problems raise DescriptionError.
+    Every case is checked before any is built, so a config problem raises
+    DescriptionError before any work; suite errors become failure records.
     """
     if config is None:
         config = default_config()
@@ -517,7 +564,7 @@ def run_suite(config: dict | None = None) -> VerificationRun:
         raise DescriptionError("verify config must be an object with a list of 'cases'")
     seed = config.get("seed", DEFAULT_SEED)
     corrupt = config.get("corrupt")
-    reports = []
+    plan = []
     for case_doc in config["cases"]:
         if not isinstance(case_doc, dict):
             raise DescriptionError("each verify case must be a JSON object")
@@ -529,7 +576,10 @@ def run_suite(config: dict | None = None) -> VerificationRun:
             if not isinstance(suite_name, str) or suite_name not in _SUITES:
                 raise DescriptionError(f"unknown suite {suite_name!r}")
         label = case_doc.get("name") or "case"
-        case = GroupDescription.from_dict(case_doc).build()
+        plan.append((label, GroupDescription.from_dict(case_doc), suites))
+    reports = []
+    for label, description, suites in plan:
+        case = description.build()
         for suite_name in suites:
             try:
                 reports.append(_SUITES[suite_name](case, label, seed, corrupt))

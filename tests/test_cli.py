@@ -207,6 +207,20 @@ def test_verify_config_errors_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), doc
 
 
+def test_verify_late_config_error_exits_two_before_building(tmp_path, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(
+        coxtwist.GroupDescription, "build", lambda self: built.append(self)
+    )
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(
+        {"cases": [F4_DOC, {"type": "A2", "suites": ["nope"]}]}
+    ))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert built == []
+
+
 def test_truncation_exits_three(tmp_path, capsys):
     swapped = tmp_path / "infinite-swap.json"
     swapped.write_text(json.dumps({"type": "I2(inf)", "cap": 60, "theta": [[1, 2]]}))

@@ -13,6 +13,8 @@ from conftest import a_system, dihedral
 
 import permutation_models as pm
 
+F4_SWAP = {"name": "F4 swap", "type": "F4", "theta": [[1, 4], [2, 3]]}
+
 
 def test_default_run_is_green():
     run = ct.run_suite()
@@ -69,6 +71,155 @@ def test_oracle_mask_cache_is_reused(f4):
     assert verify._below_masks(f4) is first
 
 
+COLUMN_CASES = [
+    {"type": "H3"},
+    {"type": "F4"},
+    {"type": "B4"},
+    {"type": "D4", "theta": [[3, 4]]},
+    {"type": "I2(7)"},
+]
+
+
+@pytest.mark.parametrize("doc", COLUMN_CASES, ids=["H3", "F4", "B4", "D4-swap", "I2(7)"])
+def test_columns_match_walks(doc):
+    sys = ct.GroupDescription.from_dict(doc).build().system
+    refs = ct.reflections(sys)
+    walks = {t.index: [sys._walk(i, t.word) for i in range(sys.size)] for t in refs}
+    cols = verify._reflection_columns(sys)
+    assert len(cols) == len(refs)
+    assert {c[0]: c for c in cols} == walks
+    for t in refs:
+        assert verify._column(sys, t.word) == walks[t.index]
+    # the down-set closure the oracle had before columns: one walk of
+    # every reflection word from every element
+    below = [0] * sys.size
+    for i, word in enumerate(sys.words):
+        mask = 1 << i
+        for t in refs:
+            j = sys._walk(i, t.word)
+            if len(sys.words[j]) < len(word):
+                mask |= below[j]
+        below[i] = mask
+    assert verify._below_masks(sys) == below
+
+
+def words_as_generators(sys, words):
+    """Twisted generators replaced by the elements of 1-based words."""
+    gens = []
+    for word in words:
+        elt = ct.element_from_word(sys, [a - 1 for a in word])
+        parity = ct.GeneratorParity.ODD if elt.length % 2 else ct.GeneratorParity.EVEN
+        gens.append(twisted.TwistedGenerator(elt, tuple(sorted(set(word))), parity))
+    return tuple(gens)
+
+
+def per_pair_lemma_reports(sys, sub):
+    """(checked, failures) of equal-length-transfer and of
+    ascent-implies-bruhat, one product and one comparison per pair."""
+    corr_checked, corr_failures = 0, []
+    long_checked, long_failures = 0, []
+    for g in sub.gens:
+        for w in sys:
+            wx = ct.multiply(w, g.elt)
+            if wx.length != w.length:
+                continue
+            for u in sys:
+                if u.length > w.length:
+                    break
+                if not verify.oracle_bruhat(sys, u, w):
+                    continue
+                corr_checked += 1
+                if verify.oracle_bruhat(sys, u, wx):
+                    continue
+                ux = ct.multiply(u, g.elt)
+                if ux.length <= u.length and verify.oracle_bruhat(sys, ux, wx):
+                    continue
+                corr_failures.append((u.word_string(), w.word_string(), g.elt.word_string()))
+        for u in sys:
+            ux = ct.multiply(u, g.elt)
+            if ux.length <= u.length:
+                continue
+            long_checked += 1
+            if not ct.bruhat_leq(u, ux):
+                long_failures.append((u.word_string(), g.elt.word_string()))
+    return (corr_checked, corr_failures), (long_checked, long_failures)
+
+
+@pytest.mark.parametrize("doc, failed", [
+    (F4_SWAP, 10368),
+    ({"type": "A5", "theta": [[1, 5], [2, 4]]}, 5423),
+    ({"type": "D4", "theta": [[3, 4]]}, 354),
+], ids=["F4", "A5", "D4"])
+def test_lemma_suites_match_per_pair_reference(doc, failed):
+    # (3 1 2 4) is not an involution, so reading g's column the wrong way
+    # round (g*i or i*g^-1) changes the answers
+    case = ct.GroupDescription.from_dict(doc).build()
+    sys = case.system
+    gens = words_as_generators(sys, [(1, 2), (2, 3, 2), (1,), (3, 1, 2, 4)])
+    sub = dataclasses.replace(case.subgroup, gens=gens)
+    corr, long = per_pair_lemma_reports(sys, sub)
+    report = verify.check_lemma_corr(sys, sub, "x")
+    assert (report.checked, list(report.failures)) == corr
+    assert len(report.failures) == failed
+    report = verify.check_lemma_long_gen(sys, sub, "x")
+    assert (report.checked, list(report.failures)) == long
+
+
+FIXED_SUITES = [
+    "fixed-subgroup-equality", "generator-parity", "ascent-implies-bruhat",
+    "equal-length-transfer",
+]
+
+
+@pytest.mark.parametrize("corruption", ["drop", "add"])
+def test_wrong_fixed_subgroup_is_detected(monkeypatch, corruption):
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sub = case.subgroup
+    if corruption == "drop":
+        bad = sub.elements[5]
+        elements = sub.elements[:5] + sub.elements[6:]
+    else:
+        bad = case.system.gens()[0]  # s1, which theta sends to s4
+        assert bad not in sub
+        elements = tuple(sorted(sub.elements + (bad,)))
+    broken = dataclasses.replace(sub, elements=elements)
+    monkeypatch.setattr(
+        ct.GroupDescription, "build", lambda self: dataclasses.replace(case, subgroup=broken)
+    )
+    run = ct.run_suite({"cases": [{**F4_SWAP, "suites": FIXED_SUITES}]})
+    reports = {r.suite: r for r in run.reports}
+    assert {r.suite for r in run.reports if r.failures} == {"fixed-subgroup-equality"}
+    assert reports["fixed-subgroup-equality"].checked == 1152
+    assert reports["fixed-subgroup-equality"].failures == ((bad.word_string(),),)
+
+
+def test_fixed_subgroup_failures_are_in_shortlex_order():
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sub = case.subgroup
+    dropped = sub.elements[3:9]
+    broken = dataclasses.replace(sub, elements=sub.elements[:3] + sub.elements[9:])
+    report = verify.check_fixed_subgroup_equality(broken, "F4")
+    assert report.failures == tuple((z.word_string(),) for z in dropped)
+
+
+def test_fixed_subgroup_equality_on_a_proper_parabolic():
+    # W_L of type A3 inside A5; the theta-image pass must stay inside it
+    sub = ct.GroupDescription.from_dict(
+        {"type": "A5", "L": [1, 2, 3], "theta": [[1, 3]]}
+    ).build().subgroup
+    report = verify.check_fixed_subgroup_equality(sub, "A5")
+    assert report.ok
+    assert report.checked == 24
+
+
+def test_fixed_subgroup_needs_wl_to_close():
+    sub = ct.GroupDescription.from_dict(
+        {"type": ["A2", "I2(inf)"], "cap": 300, "theta": [[3, 4]]}
+    ).build().subgroup
+    with pytest.raises(ct.CapExceeded, match="W_L did not close"):
+        verify.check_fixed_subgroup_equality(sub, "x")
+
+
 def test_corrupt_fixture_is_detected():
     config = {
         "corrupt": "bruhat-oracle",
@@ -87,7 +238,6 @@ def test_corrupt_fixture_is_detected():
     assert "counterexamples" in text
 
 
-F4_SWAP = {"name": "F4 swap", "type": "F4", "theta": [[1, 4], [2, 3]]}
 WORD_SUITES = {
     "length-additivity", "minimal-chains", "step-dichotomy", "dominated-minimal-search",
 }
@@ -259,6 +409,17 @@ def test_suites_filter_and_unknown_suite():
     assert run.ok
     with pytest.raises(ct.DescriptionError, match="unknown suite 'no-such-suite'"):
         ct.run_suite({"cases": [{"type": "A2", "suites": ["no-such-suite"]}]})
+
+
+def test_config_is_checked_before_any_case_is_built(monkeypatch):
+    built = []
+    build = ct.GroupDescription.build
+    monkeypatch.setattr(
+        ct.GroupDescription, "build", lambda self: built.append(self) or build(self)
+    )
+    with pytest.raises(ct.DescriptionError, match="unknown suite 'nope'"):
+        ct.run_suite({"cases": [F4_SWAP, {"type": "A2", "suites": ["nope"]}]})
+    assert built == []
 
 
 def test_suite_errors_become_failure_records():
