@@ -6,14 +6,20 @@ calls core.bruhat_leq, so the two sides of the oracle-agreement suite stay
 independent.  It reads x*t from one right-multiplication column per
 reflection (_reflection_columns): the generator columns of the table,
 conjugated as i*(sts) = ((i*s)*t)*s until no new reflection appears.  The
-remaining suites check the structural guarantees of the twisted and coset
-modules over whole groups, recording every counterexample as a tuple of
-serialized canonical words.  The lemma suites read each product i*g from
-g's column (_column), and fixed-subgroup-equality finds W_L and the
-theta-image of each of its members in one breadth-first pass over the
-table.  The coset suites read each coset once from the shared partition
-(cosets._cosets).  The twisted words, chain quotients and tree rows they
-use are all read from the subgroup's table.  step-dichotomy and
+same pass records each element's lower neighbours i*t, l(i*t) < l(i), so
+the recurrence can be rerun from another seed.  The remaining suites check
+the structural guarantees of the twisted and coset modules over whole
+groups, recording every counterexample as a tuple of serialized canonical
+words.  The lemma suites read each product i*g from g's column (_column).
+equal-length-transfer reruns the recurrence once per generator g, seeded
+at i*g^-1, for the preimage masks {u : u*g <= i} (_preimage_masks), and
+finds the failing u of each w by whole-mask arithmetic.
+fixed-subgroup-equality finds W_L and the theta-image of each of its
+members in one breadth-first pass over the table.  The coset suites read
+each coset once from the shared partition (cosets._cosets), and
+bruhat-minimal-equality tests each member against one mask of its coset.
+The twisted words, chain quotients and tree rows they use are all read
+from the subgroup's table.  step-dichotomy and
 dominated-minimal-search walk the twisted-word tree (twisted._word_tree) in
 index space, one walk per minimal member or per coset: the words are
 prefix-closed, so each edge of the tree is one step of every word through
@@ -119,9 +125,11 @@ class VerificationRun:
 # -- Bruhat oracle --------------------------------------------------------
 
 
-# system -> its masks; the masks hold no reference to the system, so an
-# entry goes when its system does.
-_MASKS: weakref.WeakKeyDictionary[CoxeterSystem, list[int]] = weakref.WeakKeyDictionary()
+# system -> (below, lower, lengths) of _below_masks; the entry holds no
+# reference to the system, so it goes when its system does.
+_MASKS: weakref.WeakKeyDictionary[
+    CoxeterSystem, tuple[list[int], list[list[int]], list[int]]
+] = weakref.WeakKeyDictionary()
 
 
 def _column(sys: CoxeterSystem, word) -> list[int]:
@@ -157,24 +165,43 @@ def _reflection_columns(sys: CoxeterSystem) -> list[list[int]]:
 
 def _below_masks(sys: CoxeterSystem) -> list[int]:
     """below[i] is the bitmask of indices u with u <= element i, computed as
-    the transitive closure of the reflection-ascent relation."""
-    below = _MASKS.get(sys)
-    if below is not None:
-        return below
+    the transitive closure of the reflection-ascent relation.  The same pass
+    records lower[i], the elements i*t with l(i*t) < l(i) over reflections
+    t, and the lengths, in the cache entry that _preimage_masks reads."""
+    entry = _MASKS.get(sys)
+    if entry is not None:
+        return entry[0]
     if not sys.complete:
         raise CapExceeded("the Bruhat oracle needs a fully enumerated group")
-    cols = _reflection_columns(sys)
     lengths = [len(w) for w in sys.words]
     below = [0] * sys.size
-    for i, li in enumerate(lengths):
+    lower = []
+    for i, row in enumerate(zip(*_reflection_columns(sys))):
+        li = lengths[i]
+        down = [j for j in row if lengths[j] < li]
         mask = 1 << i
-        for c in cols:
-            j = c[i]
-            if lengths[j] < li:
-                mask |= below[j]
+        for j in down:
+            mask |= below[j]
         below[i] = mask
-    _MASKS[sys] = below
+        lower.append(down)
+    _MASKS[sys] = (below, lower, lengths)
     return below
+
+
+def _preimage_masks(sys: CoxeterSystem, word) -> list[int]:
+    """pre[i] is the bitmask of indices u with u*word <= element i, that is
+    {v*word^-1 : v <= i}: the recurrence of _below_masks over the recorded
+    lower neighbours, seeded at i*word^-1 instead of at i."""
+    _below_masks(sys)
+    lower = _MASKS[sys][1]
+    inv = _column(sys, reversed(word))  # every letter is an involution
+    pre = [0] * sys.size
+    for i, down in enumerate(lower):
+        mask = 1 << inv[i]
+        for j in down:
+            mask |= pre[j]
+        pre[i] = mask
+    return pre
 
 
 def oracle_bruhat(sys: CoxeterSystem, u: Element, w: Element) -> bool:
@@ -248,36 +275,60 @@ def check_lemma_long_gen(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = 
     return VerificationReport("ascent-implies-bruhat", label, checked, tuple(failures))
 
 
+def _transfer_failures(
+    sys: CoxeterSystem, word, below: list[int], lengths: list[int]
+) -> tuple[int, list[tuple[int, int]]]:
+    """equal-length-transfer for one twisted generator x = ``word``: the
+    number of pairs u <= w checked and the failing (u, w), w then u
+    ascending.  For w with l(w*x) = l(w), the failing u are the bits of
+
+        below[w] & ~below[w*x] & ~(shrink & pre[w*x]),
+
+    pre from _preimage_masks and shrink = {u : l(u*x) <= l(u)}, so only
+    failing bits are visited.  pre dies when this returns, so one
+    generator's preimage masks are alive at a time."""
+    col = _column(sys, word)
+    pairs = [(iw, iwx) for iw, iwx in enumerate(col) if lengths[iwx] == lengths[iw]]
+    if not pairs:
+        return 0, []
+    pre = _preimage_masks(sys, word)
+    bits = ["1" if lengths[j] <= lengths[u] else "0" for u, j in enumerate(col)]
+    shrink = int("".join(reversed(bits)), 2)
+    checked = 0
+    failures = []
+    for iw, iwx in pairs:
+        dominated = below[iw]
+        checked += dominated.bit_count()
+        rest = dominated & ~below[iwx]
+        if rest:
+            rest &= ~(shrink & pre[iwx])
+        while rest:
+            lsb = rest & -rest
+            rest ^= lsb
+            failures.append((lsb.bit_length() - 1, iw))
+    return checked, failures
+
+
 def check_lemma_corr(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """If u <= w and the twisted generator x keeps the length of w, then u
-    or u*x stays dominated by w*x without growing."""
+    or u*x stays dominated by w*x without growing.
+
+    Each generator's failures are whole-mask arithmetic over the oracle
+    masks and that generator's preimage masks (_transfer_failures); the
+    loop visits only the failing u.  Failures are ordered by generator,
+    then w, then u."""
     below = _below_masks(sys)
-    lengths = [len(w) for w in sys.words]
+    lengths = _MASKS[sys][2]
     checked = 0
     failures = []
     for g in sub.gens:
-        col = _column(sys, g.elt.word)
-        for iw, iwx in enumerate(col):
-            if lengths[iwx] != lengths[iw]:
-                continue
-            dominated = below[iw]
-            target = below[iwx]
-            checked += dominated.bit_count()
-            rest = dominated & ~target
-            while rest:
-                lsb = rest & -rest
-                iu = lsb.bit_length() - 1
-                rest ^= lsb
-                iux = col[iu]
-                if lengths[iux] <= lengths[iu] and (target >> iux) & 1:
-                    continue
-                failures.append(
-                    (
-                        sys.element(iu).word_string(),
-                        sys.element(iw).word_string(),
-                        g.elt.word_string(),
-                    )
-                )
+        count, found = _transfer_failures(sys, g.elt.word, below, lengths)
+        checked += count
+        gw = g.elt.word_string()
+        failures.extend(
+            (sys.element(iu).word_string(), sys.element(iw).word_string(), gw)
+            for iu, iw in found
+        )
     return VerificationReport("equal-length-transfer", label, checked, tuple(failures))
 
 
@@ -370,9 +421,13 @@ def check_bruhat_minimal_equality(sub: TwistedSubgroup, label: str = "") -> Veri
     failures = []
     for members, nmin in cosets._cosets(sub):
         min_idx = set(members[:nmin])
+        cmask = 0
+        for v in members:
+            cmask |= 1 << v
         for w in members:
             checked += 1
-            bruhat_minimal = not any(v != w and (below[w] >> v) & 1 for v in members)
+            # w is Bruhat-minimal when no other member lies below it
+            bruhat_minimal = (below[w] & cmask) == 1 << w
             if bruhat_minimal != (w in min_idx):
                 failures.append(
                     (sys.element(members[0]).word_string(), sys.element(w).word_string())

@@ -145,24 +145,57 @@ def per_pair_lemma_reports(sys, sub):
     return (corr_checked, corr_failures), (long_checked, long_failures)
 
 
-@pytest.mark.parametrize("doc, failed", [
-    (F4_SWAP, 10368),
-    ({"type": "A5", "theta": [[1, 5], [2, 4]]}, 5423),
-    ({"type": "D4", "theta": [[3, 4]]}, 354),
-], ids=["F4", "A5", "D4"])
-def test_lemma_suites_match_per_pair_reference(doc, failed):
-    # (3 1 2 4) is not an involution, so reading g's column the wrong way
-    # round (g*i or i*g^-1) changes the answers
+A5_SWAP = {"type": "A5", "theta": [[1, 5], [2, 4]]}
+D4_SWAP = {"type": "D4", "theta": [[3, 4]]}
+# (3 1 2 4) is not an involution, so reading g's column the wrong way round
+# (g*i or i*g^-1) changes the answers
+MIXED_WORDS = [(1, 2), (2, 3, 2), (1,), (3, 1, 2, 4)]
+
+
+@pytest.mark.parametrize("doc, words, checked, failed", [
+    (F4_SWAP, MIXED_WORDS, None, 10368),
+    (A5_SWAP, MIXED_WORDS, None, 5423),
+    (D4_SWAP, MIXED_WORDS, None, 354),
+    (F4_SWAP, None, 296604, 0),
+    (A5_SWAP, None, 95372, 0),
+], ids=["F4", "A5", "D4", "F4-own", "A5-own"])
+def test_lemma_suites_match_per_pair_reference(doc, words, checked, failed):
+    # words None: the subgroup's own twisted generators
     case = ct.GroupDescription.from_dict(doc).build()
-    sys = case.system
-    gens = words_as_generators(sys, [(1, 2), (2, 3, 2), (1,), (3, 1, 2, 4)])
-    sub = dataclasses.replace(case.subgroup, gens=gens)
+    sys, sub = case.system, case.subgroup
+    if words is not None:
+        sub = dataclasses.replace(sub, gens=words_as_generators(sys, words))
     corr, long = per_pair_lemma_reports(sys, sub)
     report = verify.check_lemma_corr(sys, sub, "x")
     assert (report.checked, list(report.failures)) == corr
     assert len(report.failures) == failed
+    if checked is not None:
+        assert report.checked == checked
     report = verify.check_lemma_long_gen(sys, sub, "x")
     assert (report.checked, list(report.failures)) == long
+
+
+@pytest.mark.parametrize("doc", [A5_SWAP, F4_SWAP, D4_SWAP], ids=["A5", "F4", "D4"])
+def test_preimage_masks_match_definition(doc):
+    # pre[i] = {u : u*word <= i}, read here bit by bit from the oracle masks
+    case = ct.GroupDescription.from_dict(doc).build()
+    sys = case.system
+    below = verify._below_masks(sys)
+    words = [g.elt.word for g in case.subgroup.gens]
+    words += [[a - 1 for a in word] for word in MIXED_WORDS]
+    for word in words:
+        col = verify._column(sys, word)
+        pre = verify._preimage_masks(sys, word)
+        for i, mask in enumerate(below):
+            bits = bin(mask)[:1:-1].ljust(sys.size, "0")  # bits[u] is bit u
+            expected = int("".join(bits[c] for c in col)[::-1], 2)
+            assert pre[i] == expected
+
+
+def test_equal_length_transfer_on_d6_swap():
+    case = ct.GroupDescription.from_dict({"type": "D6", "theta": [[5, 6]]}).build()
+    report = verify.check_lemma_corr(case.system, case.subgroup, "D6 swap")
+    assert (report.checked, report.failures) == (41322172, ())
 
 
 FIXED_SUITES = [
@@ -280,6 +313,66 @@ def test_corrupt_reduced_word_memo_is_detected(monkeypatch):
         for a in ct.all_cosets(sub) for z in twice
         for x in [ct.multiply(a.rep, z)] if x not in a.min_set
     }
+
+
+COSET_SUITES = [
+    "coset-partition", "bruhat-minimal-equality", "minimal-chains", "step-dichotomy",
+    "dominated-minimal-search",
+]
+
+
+def run_on_recorded_partition(monkeypatch, case, corrupt):
+    """The coset suites' reports on F4 swap after ``corrupt`` edits the
+    partition recorded from the healthy subgroup."""
+    ct.all_cosets(case.subgroup)
+    corrupt(cosets._partition(case.subgroup))
+    monkeypatch.setattr(ct.GroupDescription, "build", lambda self: case)
+    run = ct.run_suite({"cases": [{**F4_SWAP, "suites": COSET_SUITES}]})
+    return {r.suite: r for r in run.reports}
+
+
+@pytest.mark.parametrize("shift, flipped, failing", [
+    (-1, 1, {"bruhat-minimal-equality", "dominated-minimal-search"}),
+    (1, 2, {"bruhat-minimal-equality", "minimal-chains", "step-dichotomy"}),
+], ids=["down", "up"])
+def test_shifted_minimal_count_is_detected(monkeypatch, shift, flipped, failing):
+    # coset 1 is the coset of s1, whose minimal members are s1 and s4;
+    # shifting its count flips the claimed minimality of member ``flipped``
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys, h = case.system, case.subgroup.order
+
+    def corrupt(part):
+        assert part.nmin[1] == 2
+        part.nmin[1] += shift
+
+    reports = run_on_recorded_partition(monkeypatch, case, corrupt)
+    assert {name for name, r in reports.items() if r.failures} == failing
+    members = cosets._partition(case.subgroup).members[h : 2 * h]
+    assert reports["bruhat-minimal-equality"].failures == (
+        (sys.element(members[0]).word_string(), sys.element(members[flipped]).word_string()),
+    )
+
+
+def test_swapped_coset_members_are_detected(monkeypatch):
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys = case.system
+
+    def corrupt(part):
+        # the last member of cosets 1 and 2 trade places
+        a, b = 2 * part.h - 1, 3 * part.h - 1
+        part.members[a], part.members[b] = part.members[b], part.members[a]
+
+    reports = run_on_recorded_partition(monkeypatch, case, corrupt)
+    # the swapped members are the longest of their cosets, so no minimal
+    # set changes
+    assert {name for name, r in reports.items() if r.failures} == {
+        "coset-partition", "step-dichotomy", "dominated-minimal-search",
+    }
+    members = cosets._partition(case.subgroup).members
+    reps = [sys.element(members[c * case.subgroup.order]) for c in (1, 2)]
+    assert reports["coset-partition"].failures == tuple(
+        (rep.word_string(), "members") for rep in reps
+    )
 
 
 PARITY_SUITES = WORD_SUITES | {"generator-parity"}
