@@ -89,8 +89,11 @@ def cmd_min_graph(args) -> int:
     analysis = cosets.coset(case.subgroup, elt)
     dot = cosets.min_graph_dot(analysis)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(dot)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(dot)
+        except OSError as e:
+            raise DescriptionError(f"cannot write {args.output}: {e}") from e
     else:
         print(dot, end="")
     return 0

@@ -2,6 +2,7 @@
 
 A description document is a JSON object with the keys
 
+    name             optional label (a string)
     type             named type ("A3", "F4", "I2(7)", "I2(inf)") or a list
                      of named types for a direct product
     matrix           explicit bond matrix instead of "type"; infinite bonds
@@ -110,6 +111,8 @@ class GroupDescription:
         unknown = set(doc) - _KNOWN_KEYS
         if unknown:
             raise DescriptionError(f"unknown keys: {sorted(unknown)}")
+        if not isinstance(doc.get("name", ""), str):
+            raise DescriptionError("'name' must be a string")
         if ("type" in doc) == ("matrix" in doc):
             raise DescriptionError("provide exactly one of 'type' and 'matrix'")
         if "type" in doc:

@@ -26,9 +26,11 @@ prefix-closed, so each edge of the tree is one step of every word through
 it, judged once by the coset module's own step rules (cosets._step,
 cosets._advance).
 
-run_suite accepts a config document with a ``corrupt`` key used as a
-negative-control fixture in tests: it deterministically flips a sparse set
-of oracle answers so that a healthy pipeline must report failures.
+run_suite reads a closed config schema: top-level ``seed`` (an integer)
+and ``cases`` (a non-empty list); each case is a group description
+(descriptions.py) plus an optional non-empty ``suites`` list.  Any other
+key, or an empty list, raises DescriptionError before any case is built.
+Negative controls live in tests/test_verify.py, one per suite.
 """
 from __future__ import annotations
 
@@ -217,7 +219,6 @@ def check_oracle_agreement(
     sys: CoxeterSystem,
     label: str = "",
     seed: int = DEFAULT_SEED,
-    corrupt: str | None = None,
 ) -> VerificationReport:
     """bruhat_leq against the oracle: every pair for groups of order at most
     48, otherwise a fixed-seed sample of ordered pairs."""
@@ -231,8 +232,6 @@ def check_oracle_agreement(
     failures = []
     for iu, iw in pairs:
         expected = bool((below[iw] >> iu) & 1)
-        if corrupt == "bruhat-oracle" and iu != iw and (iu + iw) % 3 == 1:
-            expected = not expected
         got = core.bruhat_leq(sys.element(iu), sys.element(iw))
         if got != expected:
             failures.append((sys.element(iu).word_string(), sys.element(iw).word_string()))
@@ -559,34 +558,34 @@ def check_dominated_search(sub: TwistedSubgroup, label: str = "") -> Verificatio
 
 # -- suite runner ---------------------------------------------------------
 
-# Suite name -> check(case, label, seed, corrupt).  Each entry looks its
-# check function up when called, so a wrapper installed on the module
-# attribute is the one that runs.
+# Suite name -> check(case, label, seed).  Each entry looks its check
+# function up when called, so a wrapper installed on the module attribute
+# is the one that runs.
 _SUITES = {
-    "fixed-subgroup-equality": lambda case, label, seed, corrupt: (
+    "fixed-subgroup-equality": lambda case, label, seed: (
         check_fixed_subgroup_equality(case.subgroup, label)),
-    "generator-parity": lambda case, label, seed, corrupt: (
+    "generator-parity": lambda case, label, seed: (
         check_generator_parity(case.subgroup, label)),
-    "length-additivity": lambda case, label, seed, corrupt: (
+    "length-additivity": lambda case, label, seed: (
         check_prop_additivity(case.subgroup, label)),
-    "coset-partition": lambda case, label, seed, corrupt: (
+    "coset-partition": lambda case, label, seed: (
         check_coset_partition(case.subgroup, label)),
-    "bruhat-minimal-equality": lambda case, label, seed, corrupt: (
+    "bruhat-minimal-equality": lambda case, label, seed: (
         check_bruhat_minimal_equality(case.subgroup, label)),
-    "minimal-chains": lambda case, label, seed, corrupt: (
+    "minimal-chains": lambda case, label, seed: (
         check_minimal_chains(case.subgroup, label)),
-    "step-dichotomy": lambda case, label, seed, corrupt: (
+    "step-dichotomy": lambda case, label, seed: (
         check_step_dichotomy(case.subgroup, label)),
-    "dominated-minimal-search": lambda case, label, seed, corrupt: (
+    "dominated-minimal-search": lambda case, label, seed: (
         check_dominated_search(case.subgroup, label)),
-    "ascent-implies-bruhat": lambda case, label, seed, corrupt: (
+    "ascent-implies-bruhat": lambda case, label, seed: (
         check_lemma_long_gen(case.system, case.subgroup, label)),
-    "equal-length-transfer": lambda case, label, seed, corrupt: (
+    "equal-length-transfer": lambda case, label, seed: (
         check_lemma_corr(case.system, case.subgroup, label)),
-    "commuting-reflection-inversions": lambda case, label, seed, corrupt: (
+    "commuting-reflection-inversions": lambda case, label, seed: (
         check_lemma_commuting_reflections(case.system, label)),
-    "bruhat-oracle-agreement": lambda case, label, seed, corrupt: (
-        check_oracle_agreement(case.system, label, seed=seed, corrupt=corrupt)),
+    "bruhat-oracle-agreement": lambda case, label, seed: (
+        check_oracle_agreement(case.system, label, seed=seed)),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -610,23 +609,30 @@ def default_config() -> dict:
 def run_suite(config: dict | None = None) -> VerificationRun:
     """Run the configured suites over the configured systems.
 
-    Every case is checked before any is built, so a config problem raises
-    DescriptionError before any work; suite errors become failure records.
+    The config and every case are checked before any case is built, so a
+    config problem raises DescriptionError before any work; suite errors
+    become failure records.
     """
     if config is None:
         config = default_config()
     if not isinstance(config, dict) or not isinstance(config.get("cases"), list):
         raise DescriptionError("verify config must be an object with a list of 'cases'")
+    unknown = set(config) - {"seed", "cases"}
+    if unknown:
+        raise DescriptionError(f"unknown verify config keys: {sorted(unknown)}")
+    if not config["cases"]:
+        raise DescriptionError("verify config 'cases' must not be empty")
     seed = config.get("seed", DEFAULT_SEED)
-    corrupt = config.get("corrupt")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DescriptionError(f"verify seed {seed!r} is not an integer")
     plan = []
     for case_doc in config["cases"]:
         if not isinstance(case_doc, dict):
             raise DescriptionError("each verify case must be a JSON object")
         case_doc = dict(case_doc)
-        suites = case_doc.pop("suites", None) or SUITE_NAMES
-        if not isinstance(suites, (list, tuple)):
-            raise DescriptionError("'suites' must be a list of suite names")
+        suites = case_doc.pop("suites", SUITE_NAMES)
+        if not isinstance(suites, (list, tuple)) or not suites:
+            raise DescriptionError("'suites' must be a non-empty list of suite names")
         for suite_name in suites:
             if not isinstance(suite_name, str) or suite_name not in _SUITES:
                 raise DescriptionError(f"unknown suite {suite_name!r}")
@@ -637,7 +643,7 @@ def run_suite(config: dict | None = None) -> VerificationRun:
         case = description.build()
         for suite_name in suites:
             try:
-                reports.append(_SUITES[suite_name](case, label, seed, corrupt))
+                reports.append(_SUITES[suite_name](case, label, seed))
             except CoxeterError as e:
                 reports.append(
                     VerificationReport(suite_name, label, 0, ((f"error: {e}",),))

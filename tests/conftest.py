@@ -1,6 +1,7 @@
 import pytest
 
 import coxtwist as ct
+from coxtwist import verify
 
 F4_MATRIX = ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1))
 A3_MATRIX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
@@ -74,3 +75,20 @@ def down_set(w):
                 found.add(j)
                 queue.append(j)
     return found
+
+
+@pytest.fixture()
+def flipped_oracle(monkeypatch):
+    """Negative control for the Bruhat oracle: _below_masks returns a copy
+    of the oracle masks with bit u of below[w] flipped for every u != w with
+    (u + w) % 3 == 1.  The cached masks stay as they are."""
+    below_masks = verify._below_masks
+
+    def flipped(sys):
+        # residue[r] holds the bits u with u % 3 == r
+        residue = [sum(1 << u for u in range(r, sys.size, 3)) for r in range(3)]
+        return [
+            m ^ (residue[(1 - w) % 3] & ~(1 << w)) for w, m in enumerate(below_masks(sys))
+        ]
+
+    monkeypatch.setattr(verify, "_below_masks", flipped)

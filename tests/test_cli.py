@@ -59,6 +59,13 @@ def test_min_graph_output_file(f4_json, tmp_path, capsys):
     assert target.read_text() == capsys.readouterr().out
 
 
+def test_min_graph_unwritable_output_exits_two(f4_json, tmp_path, capsys):
+    target = tmp_path / "missing" / "graph.dot"
+    assert main(["min-graph", f4_json, "e", "-o", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_min_graph_identity_element(f4_json, capsys):
     assert main(["min-graph", f4_json, "e"]) == 0
     assert capsys.readouterr().out == 'graph min_graph {\n  "e";\n}\n'
@@ -152,9 +159,8 @@ def test_verify_seed_override(a2_json, capsys):
     assert json.loads(capsys.readouterr().out)["seed"] == 5
 
 
-def test_verify_corrupt_config_exits_one(tmp_path, capsys):
+def test_verify_corrupt_config_exits_one(tmp_path, capsys, flipped_oracle):
     config = {
-        "corrupt": "bruhat-oracle",
         "cases": [{"name": "A2 swap", "type": "A2", "theta": [[1, 2]]}],
     }
     path = tmp_path / "corrupt.json"
@@ -200,6 +206,13 @@ def test_verify_config_errors_exit_two(tmp_path, capsys):
         {"cases": [1]},
         {"type": "A2", "suites": ["nope"]},
         {"cases": [{"type": "A2", "suites": "step-dichotomy"}]},
+        {"seed": [1], "cases": [F4_DOC]},
+        {"seed": False, "cases": [F4_DOC]},
+        {"sede": 5, "cases": [F4_DOC]},
+        {"corrupt": "bruhat-oracle", "cases": [F4_DOC]},
+        {"cases": []},
+        {"cases": [F4_DOC, {"type": "A2", "suites": []}]},
+        {"cases": [F4_DOC, {"name": 5, "type": "A2"}]},
     ]
     for doc in malformed:
         invalid.write_text(json.dumps(doc))

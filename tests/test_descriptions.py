@@ -95,6 +95,8 @@ def test_from_dict_rejections():
         {"type": "A2", "matrix": [[1]]},            # both sources
         {},                                          # neither source
         {"type": "A2", "shape": "round"},            # unknown key
+        {"type": "A2", "name": 5},                   # name not a string
+        {"type": "A2", "name": ["x"]},
         {"type": 7},                                 # type not a name
         {"type": []},                                # empty product
         {"type": "A2", "L": 3},                      # L not a list

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 import coxtwist as ct
-from coxtwist import cosets, twisted, verify
+from coxtwist import core, cosets, twisted, verify
 from conftest import a_system, dihedral
 
 import permutation_models as pm
@@ -253,9 +253,8 @@ def test_fixed_subgroup_needs_wl_to_close():
         verify.check_fixed_subgroup_equality(sub, "x")
 
 
-def test_corrupt_fixture_is_detected():
+def test_corrupt_fixture_is_detected(flipped_oracle):
     config = {
-        "corrupt": "bruhat-oracle",
         "cases": [
             {"name": "A2 swap", "type": "A2", "theta": [[1, 2]],
              "suites": ["bruhat-oracle-agreement"]}
@@ -267,6 +266,9 @@ def test_corrupt_fixture_is_detected():
     report = run.reports[0]
     assert report.suite == "bruhat-oracle-agreement"
     assert report.failures
+    # bruhat_leq disagrees with the flipped oracle on 10 of the 36 pairs
+    assert (report.checked, len(report.failures)) == (36, 10)
+    assert report.failures[:3] == (("e", "1"), ("e", "2 1"), ("1", "e"))
     text = run.to_text()
     assert "counterexamples" in text
 
@@ -450,6 +452,62 @@ def test_tree_walks_fail_like_per_pair_replays(monkeypatch):
     assert list(report.failures) == replayed_dominate_failures(sub)
 
 
+def test_failed_bruhat_ascent_is_detected(monkeypatch):
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys, sub = case.system, case.subgroup
+    u = ct.coset(sub, sys.gens()[0]).min_set[-1].index
+    j, verdict = cosets._step(sys, u, sub.gens[1])
+    assert verdict is ct.StepVerdict.BRUHAT_UP
+    bruhat_leq = core.bruhat_leq
+
+    def broken(a, b):
+        return (a.index, b.index) != (u, j) and bruhat_leq(a, b)
+
+    monkeypatch.setattr(core, "bruhat_leq", broken)
+    report = verify.check_step_dichotomy(sub, "F4")
+    assert len(report.failures) == 14
+    assert list(report.failures) == replayed_step_failures(sub)
+
+
+def test_witness_outside_the_oracle_is_detected(monkeypatch):
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sub = case.subgroup
+    x = ct.all_cosets(sub)[1].members[-1]
+    w = ct.dominate(sub, x).witness
+    assert w != x
+    below_masks = verify._below_masks
+
+    def cleared(sys):
+        below = list(below_masks(sys))
+        below[x.index] &= ~(1 << w.index)
+        return below
+
+    monkeypatch.setattr(verify, "_below_masks", cleared)
+    report = verify.check_dominated_search(sub, "F4")
+    assert report.checked == 1152
+    assert report.failures == ((x.word_string(), w.word_string()),)
+
+
+def test_inverting_commuting_reflection_is_detected(monkeypatch):
+    config = {"cases": [
+        {"name": "B2", "type": "B2", "suites": ["commuting-reflection-inversions"]}
+    ]}
+    (healthy,) = ct.run_suite(config).reports
+    assert (healthy.checked, healthy.failures) == (4, ())
+    # the central longest element commutes with every reflection and
+    # inverts all of them
+    reflections = core.reflections
+    monkeypatch.setattr(core, "reflections", lambda sys: (
+        reflections(sys) + (ct.element_from_word(sys, [0, 1, 0, 1]),)
+    ))
+    (report,) = ct.run_suite(config).reports
+    assert report.checked == 12
+    assert report.failures == (
+        ("1", "1 2 1 2"), ("2", "1 2 1 2"), ("1 2 1", "1 2 1 2"), ("2 1 2", "1 2 1 2"),
+        ("1 2 1 2", "1 2 1"), ("1 2 1 2", "2 1 2"),
+    )
+
+
 @pytest.mark.parametrize("doc, count", [
     ({"type": "A5", "theta": [[1, 5], [2, 4]]}, 665),
     (F4_SWAP, 905),
@@ -512,6 +570,29 @@ def test_config_is_checked_before_any_case_is_built(monkeypatch):
     )
     with pytest.raises(ct.DescriptionError, match="unknown suite 'nope'"):
         ct.run_suite({"cases": [F4_SWAP, {"type": "A2", "suites": ["nope"]}]})
+    assert built == []
+
+
+MALFORMED_CONFIGS = {
+    "list seed": {"seed": [1], "cases": [F4_SWAP]},
+    "str seed": {"seed": "5", "cases": [F4_SWAP]},
+    "bool seed": {"seed": True, "cases": [F4_SWAP]},
+    "unknown key": {"sede": 5, "cases": [F4_SWAP]},
+    "corrupt": {"corrupt": "bruhat-oracle", "cases": [F4_SWAP]},
+    "empty cases": {"cases": []},
+    "empty suites": {"cases": [F4_SWAP, {"type": "A2", "suites": []}]},
+    "null suites": {"cases": [F4_SWAP, {"type": "A2", "suites": None}]},
+    "int name": {"cases": [F4_SWAP, {"name": 5, "type": "A2"}]},
+    "list name": {"cases": [F4_SWAP, {"name": ["x"], "type": "A2"}]},
+}
+
+
+@pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS)
+def test_malformed_config_is_refused_before_any_case_is_built(monkeypatch, config):
+    built = []
+    monkeypatch.setattr(ct.GroupDescription, "build", lambda self: built.append(self))
+    with pytest.raises(ct.DescriptionError):
+        ct.run_suite(config)
     assert built == []
 
 
