@@ -126,7 +126,9 @@ def cmd_dominate(args) -> int:
 def cmd_verify(args) -> int:
     config = _read_json(args.file) if args.file else verify.default_config()
     if isinstance(config, dict):  # run_suite rejects any other document
-        if "cases" not in config:
+        # a single group description is one case; any other document without
+        # 'cases' reaches run_suite's config check as it is
+        if "cases" not in config and ("type" in config or "matrix" in config):
             config = {"cases": [config]}
         if args.seed is not None:
             config["seed"] = args.seed

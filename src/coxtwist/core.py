@@ -3,21 +3,23 @@
 A system is built by breadth-first closure from the identity under right
 multiplication by generators, visiting elements in ShortLex order of their
 reduced words (generators ordered by declared position).  The first word
-that reaches an element is therefore its ShortLex-minimal reduced word,
-which is stored as the canonical form.  During the closure an element w is
-identified by the single vector w^-1(rho) of the dual (Tits cone)
-representation, rho being the sum of the fundamental weights; W acts
-simply transitively on the chambers, so distinct elements give distinct
-vectors.  Right multiplication by a generator is one firing of Eriksson's
-numbers game on that vector, in exact integer arithmetic (see rings.py);
-the vectors are discarded once the multiplication table is complete.
+that reaches an element is therefore its ShortLex-minimal reduced word, its
+canonical form, of which only the length and the last letter are stored.
+During the closure an element w is identified by the single vector
+w^-1(rho) of the dual (Tits cone) representation, rho being the sum of the
+fundamental weights; W acts simply transitively on the chambers, so
+distinct elements give distinct vectors.  Right multiplication by a
+generator is one firing of Eriksson's numbers game on that vector, in exact
+integer arithmetic (see rings.py); the vectors are discarded once the
+multiplication table is complete.
 
 Every subsequent operation is a walk over that one right-multiplication
 table, so answers are exact.  The table entry w*s of the last letter s of
 w's canonical word is the element whose canonical word drops that letter,
-so the Bruhat order lifts through right descents by reading w's word from
-the end, one letter per step.  An inverse is found by walking the reversed
-canonical word from the identity, so no second table is kept.  A walk that
+so a canonical word is read up the table from its end, w = (w*s)*s, one
+stored last letter per step (_chain), and the Bruhat order lifts through
+right descents along the same chain.  An inverse is the walk of that chain
+from the identity (_walk_inverse), so no second table is kept.  A walk that
 would leave the enumerated region raises OutOfEnumeratedRegion instead of
 guessing.
 """
@@ -55,11 +57,13 @@ class Element:
     @property
     def word(self) -> tuple[int, ...]:
         """Canonical ShortLex reduced word, 0-based generator indices."""
-        return self.system.words[self.index]
+        letters = self.system._chain(self.index)
+        letters.reverse()
+        return tuple(letters)
 
     @property
     def length(self) -> int:
-        return len(self.system.words[self.index])
+        return self.system.length[self.index]
 
     def word_string(self) -> str:
         """Serialized form: space-separated 1-based indices, 'e' if empty."""
@@ -99,14 +103,18 @@ class CoxeterSystem:
         generators: generator labels in declared order.
         cap: enumeration bound that was in force.
         complete: True iff the whole group fits inside the cap.
-        words: canonical words by element index (ShortLex order).
+        length: length of each element by index (ShortLex order).
+        words: canonical words by element index, rebuilt from the table on
+            each access; no word is stored.
     """
 
-    def __init__(self, matrix, generators, cap, words, table, complete):
+    def __init__(self, matrix, generators, cap, length, last, table, complete):
         self.matrix = matrix
         self.generators = generators
         self.cap = cap
-        self.words = words
+        self.length = length
+        # last letter of each canonical word, None for the identity
+        self._last = last
         self._table = table
         self.complete = complete
         self.rank = len(generators)
@@ -119,12 +127,23 @@ class CoxeterSystem:
     @property
     def size(self) -> int:
         """Number of enumerated elements."""
-        return len(self.words)
+        return len(self.length)
 
     @property
     def order(self) -> int | None:
         """Group order when fully enumerated, else None."""
-        return len(self.words) if self.complete else None
+        return len(self.length) if self.complete else None
+
+    @property
+    def words(self) -> list[tuple[int, ...]]:
+        """Canonical words by element index, each its parent's plus the
+        last letter: a new list on each access."""
+        table, last = self._table, self._last
+        words = [()]
+        for i in range(1, len(last)):
+            s = last[i]
+            words.append(words[table[i][s]] + (s,))
+        return words
 
     @property
     def identity(self) -> Element:
@@ -140,7 +159,7 @@ class CoxeterSystem:
         return self.matrix[s][t]
 
     def __iter__(self):
-        return (Element(self, i) for i in range(len(self.words)))
+        return (Element(self, i) for i in range(len(self.length)))
 
     def __repr__(self):
         state = "complete" if self.complete else "truncated"
@@ -160,6 +179,32 @@ class CoxeterSystem:
             i = nxt
         return i
 
+    def _chain(self, i: int) -> list[int]:
+        """Letters of element i's canonical word, last letter first, read up
+        the table: i = (i*s)*s for its last letter s."""
+        table, last = self._table, self._last
+        out = []
+        while i:
+            s = last[i]
+            out.append(s)
+            i = table[i][s]
+        return out
+
+    def _walk_inverse(self, start: int, i: int) -> int:
+        """Index of start * (element i)^-1: the walk of i's letters from
+        the last, read up the table as in _chain, with no list built."""
+        table, last = self._table, self._last
+        p = start
+        while i:
+            s = last[i]
+            p = table[p][s]
+            if p is None:
+                raise OutOfEnumeratedRegion(
+                    f"product escapes the enumerated ball of {self.size} elements"
+                )
+            i = table[i][s]
+        return p
+
     def _reflections(self):
         """All reflections inside the enumerated region, by closure under
         conjugation by generators.  Complete for complete systems."""
@@ -169,10 +214,10 @@ class CoxeterSystem:
         found = {table[0][s] for s in range(self.rank)}
         queue = sorted(found)
         for t in queue:
-            word = self.words[t]
             for s in range(self.rank):
+                # s*t*s = (s * t^-1) * s, t being an involution
                 try:
-                    c = self._walk(0, (s, *word, s))
+                    c = self._walk(self._walk_inverse(table[0][s], t), (s,))
                 except OutOfEnumeratedRegion:
                     continue
                 if c not in found:
@@ -221,8 +266,8 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
     w^-1(rho) in fundamental-weight coordinates over the cosine ring of the
     finite bonds; multiplying by a generator fires it in the numbers game.
     The result records whether enumeration closed (the full group) or was
-    truncated at the cap.  Canonical words, lengths and all multiplication
-    answers come from the resulting table.
+    truncated at the cap.  Lengths and last letters are recorded beside the
+    table; canonical words and all multiplication answers come from it.
     """
     matrix = _validate_matrix(matrix)
     n = len(matrix)
@@ -263,19 +308,21 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
     # vector can only match one of the next layer: `seen` holds that layer
     # alone, and a state is dropped once its row has fired.
     rho = ring.one * n
-    words: list[tuple[int, ...]] = [()]
+    length = [0]
+    last: list = [None]
     table: list[list] = [[None] * n]
     states = [rho]
     seen = {}
     layer = 0
     truncated = False
     # iterating over the indices as they were created keeps one int object
-    # per index in the table
+    # per index in the table; the next layer's length is one int object too
     queue = [0]
     for i in queue:
-        if len(words[i]) > layer:
-            layer += 1
+        if length[i] > layer:
+            layer = length[i]
             seen = {}
+        above = layer + 1
         row = table[i]
         state = states[i]
         states[i] = None
@@ -288,12 +335,13 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
             f = tuple(f)
             j = seen.get(f)
             if j is None:
-                if len(words) >= cap:
+                if len(length) >= cap:
                     truncated = True
                     continue
-                j = len(words)
+                j = len(length)
                 seen[f] = j
-                words.append(words[i] + (s,))
+                length.append(above)
+                last.append(s)
                 states.append(f)
                 table.append([None] * n)
                 queue.append(j)
@@ -304,7 +352,8 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
         matrix=matrix,
         generators=generator_names,
         cap=cap,
-        words=words,
+        length=length,
+        last=last,
         table=table,
         complete=not truncated,
     )
@@ -334,7 +383,7 @@ def multiply(u: Element, v: Element) -> Element:
 
 def inverse(w: Element) -> Element:
     """w^-1, by walking the reversed canonical word from the identity."""
-    return Element(w.system, w.system._walk(0, reversed(w.word)))
+    return Element(w.system, w.system._walk_inverse(0, w.index))
 
 
 def descents(w: Element, side: str = "right") -> frozenset[int]:
@@ -342,7 +391,7 @@ def descents(w: Element, side: str = "right") -> frozenset[int]:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     sys = w.system
-    words = sys.words
+    length = sys.length
     row = sys._table[w.index]
     lw = w.length
     out = []
@@ -358,7 +407,7 @@ def descents(w: Element, side: str = "right") -> frozenset[int]:
                 j = sys._walk(0, (s, *w.word))
             except OutOfEnumeratedRegion:
                 j = None
-        if j is not None and len(words[j]) < lw:
+        if j is not None and length[j] < lw:
             out.append(s)
     return frozenset(out)
 
@@ -381,9 +430,8 @@ def inversion_set(w: Element) -> tuple[Element, ...]:
     a_k..a_(j+1) a_j a_(j+1)..a_k for each position j."""
     sys = w.system
     word = w.word
-    k = len(word)
     seen = set()
-    for j in range(k):
+    for j in range(w.length):
         suffix = word[j + 1 :]
         t = sys._walk(0, tuple(reversed(suffix)) + (word[j],) + suffix)
         if t in seen:
@@ -400,22 +448,21 @@ def bruhat_leq(u: Element, w: Element) -> bool:
     For a right descent s of w, u <= w iff min(u, u*s) <= w*s
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7).  The
     last letter of a canonical word is such a descent, and dropping it
-    leaves the canonical word of w*s, so the comparison reads w's word from
-    the end, one letter per step.  Both steps read the right-multiplication
-    table and only ever shorten, so the comparison stays inside a truncated
-    ball and needs no inverse.
+    leaves the canonical word of w*s, so the comparison reads w's stored
+    last letters up the table, one letter per step.  Both steps read the
+    right-multiplication table and only ever shorten, so the comparison
+    stays inside a truncated ball and needs no inverse.
     """
     _same_system(u, w)
     sys = u.system
-    table = sys._table
+    table, last = sys._table, sys._last
     iu, iw = u.index, w.index
-    word = sys.words[iw]
-    lu, lw = len(sys.words[iu]), len(word)
+    lu, lw = sys.length[iu], sys.length[iw]
     while iu != iw:
         if lu >= lw:
             return False
         lw -= 1
-        s = word[lw]
+        s = last[iw]
         iw = table[iw][s]
         # a missing entry means u*s left the ball, hence is longer; indices
         # follow ShortLex order, so a smaller index is the shorter neighbour
@@ -434,14 +481,14 @@ def parabolic_decompose(w: Element, J: Iterable[int]) -> tuple[Element, Element]
         if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < sys.rank:
             raise ValueError(f"J member {s!r} is not a generator index")
     order = sorted(J)
-    table = sys.words
+    table, length = sys._table, sys.length
     p = w.index
     stripped = []
     while True:
-        lp = len(table[p])
+        lp = length[p]
         for s in order:
-            q = sys._table[p][s]
-            if q is not None and len(table[q]) < lp:
+            q = table[p][s]
+            if q is not None and length[q] < lp:
                 p = q
                 stripped.append(s)
                 break
@@ -471,9 +518,10 @@ def longest_element(sys: CoxeterSystem, J: Iterable[int]) -> Element:
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
-    best = max(seen, key=lambda i: len(sys.words[i]))
-    top_len = len(sys.words[best])
-    if sum(1 for i in seen if len(sys.words[i]) == top_len) != 1:
+    length = sys.length
+    best = max(seen, key=length.__getitem__)
+    top_len = length[best]
+    if sum(1 for i in seen if length[i] == top_len) != 1:
         raise TheoremViolation(
             f"parabolic on {[s + 1 for s in J]} has no unique longest element"
         )
@@ -491,17 +539,17 @@ def enumerate_ball(
     """
     if cap is None:
         cap = sys.cap
-    gen_list = []
+    gen_words = []
     for g in gens:
         _same_system(g, sys.identity)
-        gen_list.append(g)
+        gen_words.append(g.word)
     seen = {0}
     queue = [0]
     complete = True
     for i in queue:
-        for g in gen_list:
+        for word in gen_words:
             try:
-                j = sys._walk(i, g.word)
+                j = sys._walk(i, word)
             except OutOfEnumeratedRegion:
                 complete = False
                 continue

@@ -159,16 +159,16 @@ class _CosetPartition:
             cid[j] = c
             self.zpos[j] = z
         self.members.extend(found)
-        words = sys.words
-        low = len(words[found[0]])
+        length = sys.length
+        low = length[found[0]]
         k = 1
-        while k < self.h and len(words[found[k]]) == low:
+        while k < self.h and length[found[k]] == low:
             k += 1
         self.nmin.append(k)
         return c
 
     def min_length(self, c: int) -> int:
-        return len(self.system.words[self.members[c * self.h]])
+        return self.system.length[self.members[c * self.h]]
 
     def is_min_in(self, c: int, w: Element) -> bool:
         """Whether w is a minimal member of coset c."""
@@ -214,7 +214,7 @@ def _step(sys: core.CoxeterSystem, i: int, g: TwistedGenerator) -> tuple[int, St
     i*g must belong to a recorded coset, so the walk stays in the ball.
     """
     j = _times(sys, i, g)
-    li, lj = len(sys.words[i]), len(sys.words[j])
+    li, lj = sys.length[i], sys.length[j]
     if lj > li:
         return j, StepVerdict.BRUHAT_UP
     if lj == li and not g.is_reflection:
@@ -241,8 +241,8 @@ def _advance(
     top = Element(sys, j)
     # witness*g is a member of the recorded coset too
     moved = _times(sys, witness, g)
-    words = sys.words
-    if len(words[moved]) <= len(words[witness]) and core.bruhat_leq(Element(sys, moved), top):
+    length = sys.length
+    if length[moved] <= length[witness] and core.bruhat_leq(Element(sys, moved), top):
         if moved < witness or not core.bruhat_leq(Element(sys, witness), top):
             return j, verdict, moved, True
         return j, verdict, witness, False

@@ -78,8 +78,8 @@ def _times(sys: CoxeterSystem, i: int, g: TwistedGenerator) -> int:
     Stripping right descents in g's orbit from i leaves i = p*q, with q in
     the orbit parabolic and p free of descents in it, so lengths add along
     p times any element of that parabolic: no step is longer than i*g.  The
-    same letters stripped from g, an involution, leave r = g*q^-1, whose
-    reversed canonical word spells q*g.
+    same letters stripped from g, an involution, leave r = g*q^-1, and
+    q*g = r^-1 is walked up r's chain (CoxeterSystem._walk_inverse).
     """
     table = sys._table
     p = i
@@ -96,7 +96,7 @@ def _times(sys: CoxeterSystem, i: int, g: TwistedGenerator) -> int:
                 break
         else:
             break
-    return sys._walk(p, reversed(sys.words[r]))
+    return sys._walk_inverse(p, r)
 
 
 @dataclass(frozen=True)
@@ -262,14 +262,14 @@ def enumerate_fixed_subgroup(theta: DiagramAutomorphism) -> TwistedSubgroup:
     """
     sys = theta.system
     gens = twisted_generators(theta)
-    words = sys.words
+    length = sys.length
     found, rows, seen, heap = [], [], {0}, [0]
     try:
         while heap:
             i = heapq.heappop(heap)
             row = [_times(sys, i, g) for g in gens]
             a = _descent(row, i) if min(row, default=i) < i else None
-            if i and (a is None or len(words[i]) - len(words[row[a]]) != gens[a].elt.length):
+            if i and (a is None or length[i] - length[row[a]] != gens[a].elt.length):
                 raise TheoremViolation(
                     f"fixed element {sys.element(i).word_string()!r} has no first descent "
                     "that drops the whole generator length"

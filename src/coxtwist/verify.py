@@ -5,12 +5,12 @@ closure of x -> x*t over reflections t with a length increase) and never
 calls core.bruhat_leq, so the two sides of the oracle-agreement suite stay
 independent.  It reads x*t from one right-multiplication column per
 reflection (_reflection_columns): the generator columns of the table,
-conjugated as i*(sts) = ((i*s)*t)*s until no new reflection appears.  The
-same pass records each element's lower neighbours i*t, l(i*t) < l(i), so
-the recurrence can be rerun from another seed.  The remaining suites check
-the structural guarantees of the twisted and coset modules over whole
-groups, recording every counterexample as a tuple of serialized canonical
-words.  The lemma suites read each product i*g from g's column (_column).
+conjugated as i*(sts) = ((i*s)*t)*s until no new reflection appears.  It
+records each element's lower neighbours i*t, l(i*t) < l(i), and one
+recurrence over them (_down_closure) fills the masks, so it can be rerun
+from another seed.  The remaining suites check the structural guarantees
+of the twisted and coset modules over whole groups, recording every
+counterexample as a tuple of serialized canonical words.  The lemma suites read each product i*g from g's column (_column).
 equal-length-transfer reruns the recurrence once per generator g, seeded
 at i*g^-1, for the preimage masks {u : u*g <= i} (_preimage_masks), and
 finds the failing u of each w by whole-mask arithmetic.
@@ -127,10 +127,10 @@ class VerificationRun:
 # -- Bruhat oracle --------------------------------------------------------
 
 
-# system -> (below, lower, lengths) of _below_masks; the entry holds no
-# reference to the system, so it goes when its system does.
+# system -> (below, lower) of _below_masks; the entry holds no reference to
+# the system, so it goes when its system does.
 _MASKS: weakref.WeakKeyDictionary[
-    CoxeterSystem, tuple[list[int], list[list[int]], list[int]]
+    CoxeterSystem, tuple[list[int], list[list[int]]]
 ] = weakref.WeakKeyDictionary()
 
 
@@ -165,28 +165,36 @@ def _reflection_columns(sys: CoxeterSystem) -> list[list[int]]:
     return cols
 
 
+def _down_closure(lower: list[list[int]], seed) -> list[int]:
+    """out[i] = 1 << seed[i] | out[j] for every lower neighbour j of i: the
+    down-set of element i, each member u moved to seed[u]'s bit.  Lower
+    neighbours come first in index order, so one pass fills it."""
+    out = [0] * len(lower)
+    for i, down in enumerate(lower):
+        mask = 1 << seed[i]
+        for j in down:
+            mask |= out[j]
+        out[i] = mask
+    return out
+
+
 def _below_masks(sys: CoxeterSystem) -> list[int]:
     """below[i] is the bitmask of indices u with u <= element i, computed as
-    the transitive closure of the reflection-ascent relation.  The same pass
-    records lower[i], the elements i*t with l(i*t) < l(i) over reflections
-    t, and the lengths, in the cache entry that _preimage_masks reads."""
+    the transitive closure of the reflection-ascent relation.  lower[i], the
+    elements i*t with l(i*t) < l(i) over reflections t, is kept in the cache
+    entry for _preimage_masks."""
     entry = _MASKS.get(sys)
     if entry is not None:
         return entry[0]
     if not sys.complete:
         raise CapExceeded("the Bruhat oracle needs a fully enumerated group")
-    lengths = [len(w) for w in sys.words]
-    below = [0] * sys.size
+    length = sys.length
     lower = []
     for i, row in enumerate(zip(*_reflection_columns(sys))):
-        li = lengths[i]
-        down = [j for j in row if lengths[j] < li]
-        mask = 1 << i
-        for j in down:
-            mask |= below[j]
-        below[i] = mask
-        lower.append(down)
-    _MASKS[sys] = (below, lower, lengths)
+        li = length[i]
+        lower.append([j for j in row if length[j] < li])
+    below = _down_closure(lower, range(sys.size))
+    _MASKS[sys] = (below, lower)
     return below
 
 
@@ -195,15 +203,8 @@ def _preimage_masks(sys: CoxeterSystem, word) -> list[int]:
     {v*word^-1 : v <= i}: the recurrence of _below_masks over the recorded
     lower neighbours, seeded at i*word^-1 instead of at i."""
     _below_masks(sys)
-    lower = _MASKS[sys][1]
     inv = _column(sys, reversed(word))  # every letter is an involution
-    pre = [0] * sys.size
-    for i, down in enumerate(lower):
-        mask = 1 << inv[i]
-        for j in down:
-            mask |= pre[j]
-        pre[i] = mask
-    return pre
+    return _down_closure(_MASKS[sys][1], inv)
 
 
 def oracle_bruhat(sys: CoxeterSystem, u: Element, w: Element) -> bool:
@@ -241,31 +242,33 @@ def check_oracle_agreement(
 def check_lemma_commuting_reflections(sys: CoxeterSystem, label: str = "") -> VerificationReport:
     """Distinct commuting reflections never invert each other."""
     refs = core.reflections(sys)
+    words = [t.word for t in refs]  # each read up the table once
+    length = sys.length
     checked = 0
     failures = []
-    for a in range(len(refs)):
-        for b in range(len(refs)):
+    for a, t in enumerate(refs):
+        for b, t2 in enumerate(refs):
             if a == b:
                 continue
-            t, t2 = refs[a], refs[b]
-            if core.multiply(t, t2) != core.multiply(t2, t):
+            t2t = sys._walk(t2.index, words[a])
+            if sys._walk(t.index, words[b]) != t2t:
                 continue
             checked += 1
             # t in N(t2) would mean len(t2 * t) < len(t2)
-            if core.multiply(t2, t).length < t2.length:
+            if length[t2t] < length[t2.index]:
                 failures.append((t.word_string(), t2.word_string()))
     return VerificationReport("commuting-reflection-inversions", label, checked, tuple(failures))
 
 
 def check_lemma_long_gen(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """A length ascent by a twisted generator is a Bruhat ascent."""
-    lengths = [len(w) for w in sys.words]
+    length = sys.length
     checked = 0
     failures = []
     for g in sub.gens:
         col = _column(sys, g.elt.word)
         for i, j in enumerate(col):
-            if lengths[j] <= lengths[i]:
+            if length[j] <= length[i]:
                 continue
             checked += 1
             u = Element(sys, i)
@@ -275,7 +278,7 @@ def check_lemma_long_gen(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = 
 
 
 def _transfer_failures(
-    sys: CoxeterSystem, word, below: list[int], lengths: list[int]
+    sys: CoxeterSystem, word, below: list[int]
 ) -> tuple[int, list[tuple[int, int]]]:
     """equal-length-transfer for one twisted generator x = ``word``: the
     number of pairs u <= w checked and the failing (u, w), w then u
@@ -286,12 +289,13 @@ def _transfer_failures(
     pre from _preimage_masks and shrink = {u : l(u*x) <= l(u)}, so only
     failing bits are visited.  pre dies when this returns, so one
     generator's preimage masks are alive at a time."""
+    length = sys.length
     col = _column(sys, word)
-    pairs = [(iw, iwx) for iw, iwx in enumerate(col) if lengths[iwx] == lengths[iw]]
+    pairs = [(iw, iwx) for iw, iwx in enumerate(col) if length[iwx] == length[iw]]
     if not pairs:
         return 0, []
     pre = _preimage_masks(sys, word)
-    bits = ["1" if lengths[j] <= lengths[u] else "0" for u, j in enumerate(col)]
+    bits = ["1" if length[j] <= length[u] else "0" for u, j in enumerate(col)]
     shrink = int("".join(reversed(bits)), 2)
     checked = 0
     failures = []
@@ -317,11 +321,10 @@ def check_lemma_corr(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = "") 
     loop visits only the failing u.  Failures are ordered by generator,
     then w, then u."""
     below = _below_masks(sys)
-    lengths = _MASKS[sys][2]
     checked = 0
     failures = []
     for g in sub.gens:
-        count, found = _transfer_failures(sys, g.elt.word, below, lengths)
+        count, found = _transfer_failures(sys, g.elt.word, below)
         checked += count
         gw = g.elt.word_string()
         failures.extend(
@@ -393,6 +396,7 @@ def check_coset_partition(sub: TwistedSubgroup, label: str = "") -> Verification
     """Cosets of the fixed subgroup tile the group without overlap, and each
     reported coset equals rep * H recomputed by plain multiplication."""
     sys = sub.system
+    words = [z.word for z in sub.elements]  # each read up the table once
     seen: set[int] = set()
     checked = 0
     failures = []
@@ -402,7 +406,7 @@ def check_coset_partition(sub: TwistedSubgroup, label: str = "") -> Verification
         got = list(members)
         if len(got) != sub.order:
             failures.append((rep.word_string(), "size"))
-        elif got != sorted(core.multiply(rep, z).index for z in sub.elements):
+        elif got != sorted(sys._walk(rep.index, word) for word in words):
             failures.append((rep.word_string(), "members"))
         if seen.intersection(got):
             failures.append((rep.word_string(), "overlap"))
@@ -626,7 +630,7 @@ def run_suite(config: dict | None = None) -> VerificationRun:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise DescriptionError(f"verify seed {seed!r} is not an integer")
     plan = []
-    for case_doc in config["cases"]:
+    for position, case_doc in enumerate(config["cases"], 1):
         if not isinstance(case_doc, dict):
             raise DescriptionError("each verify case must be a JSON object")
         case_doc = dict(case_doc)
@@ -636,7 +640,7 @@ def run_suite(config: dict | None = None) -> VerificationRun:
         for suite_name in suites:
             if not isinstance(suite_name, str) or suite_name not in _SUITES:
                 raise DescriptionError(f"unknown suite {suite_name!r}")
-        label = case_doc.get("name") or "case"
+        label = case_doc.get("name") or f"case {position}"
         plan.append((label, GroupDescription.from_dict(case_doc), suites))
     reports = []
     for label, description, suites in plan:

@@ -68,12 +68,12 @@ def down_set(w):
     found = {w.index}
     queue = [w.index]
     for i in queue:
-        word = sys.words[i]
+        word = sys.element(i).word
         for k in range(len(word)):
-            j = ct.element_from_word(sys, word[:k] + word[k + 1 :]).index
-            if len(sys.words[j]) == len(word) - 1 and j not in found:
-                found.add(j)
-                queue.append(j)
+            j = ct.element_from_word(sys, word[:k] + word[k + 1 :])
+            if j.length == len(word) - 1 and j.index not in found:
+                found.add(j.index)
+                queue.append(j.index)
     return found
 
 

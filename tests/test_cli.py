@@ -219,6 +219,14 @@ def test_verify_config_errors_exit_two(tmp_path, capsys):
         assert main(["verify", str(invalid)]) == 2, doc
         assert capsys.readouterr().err.startswith("error: "), doc
 
+    # only a document with 'type' or 'matrix' is read as one group description
+    for doc in ({"seed": 5}, {"case": [F4_DOC]}):
+        invalid.write_text(json.dumps(doc))
+        assert main(["verify", str(invalid)]) == 2, doc
+        assert capsys.readouterr().err == (
+            "error: verify config must be an object with a list of 'cases'\n"
+        ), doc
+
 
 def test_verify_late_config_error_exits_two_before_building(tmp_path, monkeypatch, capsys):
     built = []

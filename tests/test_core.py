@@ -1,8 +1,10 @@
 """Enumeration, canonical words, inversions, Bruhat order, parabolics."""
 
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
@@ -165,6 +167,49 @@ def test_finite_tables_satisfy_the_coxeter_relations(ladder):
                 for _ in range(m):
                     j = table[table[j][s]][t]
                 assert j == i
+
+
+def test_stored_lengths_match_the_words(ladder):
+    # lengths reach 300 here, past the small ints CPython shares
+    for sys in [*ladder.values(), dihedral(INF, cap=601)]:
+        assert list(sys.length) == [len(w) for w in sys.words]
+
+
+def test_words_and_inverses_are_read_up_the_table(ladder):
+    for name in ("F4", "5-3-4", "inf-3-4"):
+        sys = ladder[name]
+        words = sys.words
+        starts = (0, 1, sys.size // 2, sys.size - 1)
+        for w in sys:
+            assert w.word == words[w.index]
+            assert sys._walk(0, w.word) == w.index
+            reverse = tuple(reversed(w.word))
+            # a walk of the reversed word escapes a truncated ball exactly
+            # when the walk up the table does
+            for start in starts:
+                try:
+                    expected = sys._walk(start, reverse)
+                except OutOfEnumeratedRegion:
+                    with pytest.raises(OutOfEnumeratedRegion):
+                        sys._walk_inverse(start, w.index)
+                else:
+                    assert sys._walk_inverse(start, w.index) == expected
+                    if start == 0:
+                        assert ct.inverse(w).index == expected
+
+
+def test_build_keeps_no_word_per_element():
+    # the table, lengths and last letters; a word tuple per element would
+    # add about 8 MB
+    tracemalloc.start()
+    try:
+        sys = ct.build_system(E6_MATRIX)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys.order == 51840
+    assert retained < 12_000_000
 
 
 def test_infinite_balls_count_elements_by_length(ladder):

@@ -93,12 +93,14 @@ def test_columns_match_walks(doc):
     # the down-set closure the oracle had before columns: one walk of
     # every reflection word from every element
     below = [0] * sys.size
-    for i, word in enumerate(sys.words):
+    ref_words = [t.word for t in refs]
+    for w in sys:
+        i = w.index
         mask = 1 << i
-        for t in refs:
-            j = sys._walk(i, t.word)
-            if len(sys.words[j]) < len(word):
-                mask |= below[j]
+        for word in ref_words:
+            j = sys.element(sys._walk(i, word))
+            if j.length < w.length:
+                mask |= below[j.index]
         below[i] = mask
     assert verify._below_masks(sys) == below
 
@@ -560,6 +562,17 @@ def test_suites_filter_and_unknown_suite():
     assert run.ok
     with pytest.raises(ct.DescriptionError, match="unknown suite 'no-such-suite'"):
         ct.run_suite({"cases": [{"type": "A2", "suites": ["no-such-suite"]}]})
+
+
+def test_unnamed_cases_are_labelled_by_position():
+    run = ct.run_suite({"cases": [
+        {"type": "A2", "suites": ["generator-parity"]},
+        {"name": "", "type": "A3", "suites": ["generator-parity"]},
+    ]})
+    assert [(r.system, r.checked) for r in run.reports] == [("case 1", 2), ("case 2", 3)]
+    rows = [line.split() for line in run.to_text().splitlines()[2:4]]
+    assert rows == [["generator-parity", "case", "1", "2", "2", "0"],
+                    ["generator-parity", "case", "2", "3", "3", "0"]]
 
 
 def test_config_is_checked_before_any_case_is_built(monkeypatch):
