@@ -2,13 +2,15 @@
 
 Commands read a JSON group description (see descriptions.py for the
 schema) and print deterministic text.  Exit codes: 0 success, 1
-verification failures, 2 parse or validation errors, 3 cap or enumeration
-region errors, 4 malformed element words.
+verification failures or a reader that closed stdout early, 2 parse or
+validation errors, 3 cap or enumeration region errors, 4 malformed element
+words.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 
 from . import core, cosets, verify
@@ -170,7 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        _sys.stdout.flush()  # a reader that closed early is met here
+        return code
+    except BrokenPipeError:
+        # the flush at exit writes to os.devnull instead of the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        return 1
     except (DescriptionError, MalformedMatrix, AutomorphismError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2

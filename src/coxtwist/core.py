@@ -211,10 +211,13 @@ class CoxeterSystem:
         if self._reflection_cache is not None:
             return self._reflection_cache
         table = self._table
-        found = {table[0][s] for s in range(self.rank)}
+        # a cap may leave a generator out of the ball; it neither seeds nor
+        # conjugates
+        gens = [s for s in range(self.rank) if table[0][s] is not None]
+        found = {table[0][s] for s in gens}
         queue = sorted(found)
         for t in queue:
-            for s in range(self.rank):
+            for s in gens:
                 # s*t*s = (s * t^-1) * s, t being an involution
                 try:
                     c = self._walk(self._walk_inverse(table[0][s], t), (s,))

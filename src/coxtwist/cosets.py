@@ -192,9 +192,11 @@ def _cosets(sub: TwistedSubgroup) -> Iterator[tuple[array, int]]:
     if not sys.complete:
         raise CapExceeded("coset partition needs a fully enumerated group")
     part = _partition(sub)
-    h, members = part.h, part.members
+    h, members, cid = part.h, part.members, part.cid
     for i in range(sys.size):
-        c = part.coset_id(i)
+        c = cid[i]
+        if c < 0:
+            c = part.coset_id(i)
         if members[c * h] == i:
             yield members[c * h : (c + 1) * h], part.nmin[c]
 

@@ -6,11 +6,14 @@ calls core.bruhat_leq, so the two sides of the oracle-agreement suite stay
 independent.  It reads x*t from one right-multiplication column per
 reflection (_reflection_columns): the generator columns of the table,
 conjugated as i*(sts) = ((i*s)*t)*s until no new reflection appears.  It
-records each element's lower neighbours i*t, l(i*t) < l(i), and one
-recurrence over them (_down_closure) fills the masks, so it can be rerun
-from another seed.  The remaining suites check the structural guarantees
-of the twisted and coset modules over whole groups, recording every
-counterexample as a tuple of serialized canonical words.  The lemma suites read each product i*g from g's column (_column).
+records each element's covers i*t, l(i*t) = l(i) - 1: by the chain
+property of the graded Bruhat order (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, Thm 2.2.6) their closure is the closure over every lower
+reflection neighbour.  One recurrence over them (_down_closure) fills the
+masks, so it can be rerun from another seed.  The remaining suites check
+the structural guarantees of the twisted and coset modules over whole
+groups, recording every counterexample as a tuple of serialized canonical
+words.  The lemma suites read each product i*g from g's column (_column).
 equal-length-transfer reruns the recurrence once per generator g, seeded
 at i*g^-1, for the preimage masks {u : u*g <= i} (_preimage_masks), and
 finds the failing u of each w by whole-mask arithmetic.
@@ -19,12 +22,13 @@ members in one breadth-first pass over the table.  The coset suites read
 each coset once from the shared partition (cosets._cosets), and
 bruhat-minimal-equality tests each member against one mask of its coset.
 The twisted words, chain quotients and tree rows they use are all read
-from the subgroup's table.  step-dichotomy and
+from the subgroup's table.  minimal-chains, step-dichotomy and
 dominated-minimal-search walk the twisted-word tree (twisted._word_tree) in
 index space, one walk per minimal member or per coset: the words are
 prefix-closed, so each edge of the tree is one step of every word through
 it, judged once by the coset module's own step rules (cosets._step,
-cosets._advance).
+cosets._advance).  minimal-chains follows only the steps that keep the
+length, so its walk from u visits only the minimal members it links u to.
 
 run_suite reads a closed config schema: top-level ``seed`` (an integer)
 and ``cases`` (a non-empty list); each case is a group description
@@ -166,9 +170,9 @@ def _reflection_columns(sys: CoxeterSystem) -> list[list[int]]:
 
 
 def _down_closure(lower: list[list[int]], seed) -> list[int]:
-    """out[i] = 1 << seed[i] | out[j] for every lower neighbour j of i: the
-    down-set of element i, each member u moved to seed[u]'s bit.  Lower
-    neighbours come first in index order, so one pass fills it."""
+    """out[i] = 1 << seed[i] | out[j] for every cover j of i: the down-set
+    of element i, each member u moved to seed[u]'s bit.  Covers are shorter,
+    so they come first in index order, and one pass fills it."""
     out = [0] * len(lower)
     for i, down in enumerate(lower):
         mask = 1 << seed[i]
@@ -180,9 +184,9 @@ def _down_closure(lower: list[list[int]], seed) -> list[int]:
 
 def _below_masks(sys: CoxeterSystem) -> list[int]:
     """below[i] is the bitmask of indices u with u <= element i, computed as
-    the transitive closure of the reflection-ascent relation.  lower[i], the
-    elements i*t with l(i*t) < l(i) over reflections t, is kept in the cache
-    entry for _preimage_masks."""
+    the transitive closure of the covers.  lower[i], the covers i*t with
+    l(i*t) = l(i) - 1 over reflections t, is kept in the cache entry for
+    _preimage_masks."""
     entry = _MASKS.get(sys)
     if entry is not None:
         return entry[0]
@@ -191,8 +195,8 @@ def _below_masks(sys: CoxeterSystem) -> list[int]:
     length = sys.length
     lower = []
     for i, row in enumerate(zip(*_reflection_columns(sys))):
-        li = length[i]
-        lower.append([j for j in row if length[j] < li])
+        cover = length[i] - 1
+        lower.append([j for j in row if length[j] == cover])
     below = _down_closure(lower, range(sys.size))
     _MASKS[sys] = (below, lower)
     return below
@@ -201,7 +205,7 @@ def _below_masks(sys: CoxeterSystem) -> list[int]:
 def _preimage_masks(sys: CoxeterSystem, word) -> list[int]:
     """pre[i] is the bitmask of indices u with u*word <= element i, that is
     {v*word^-1 : v <= i}: the recurrence of _below_masks over the recorded
-    lower neighbours, seeded at i*word^-1 instead of at i."""
+    covers, seeded at i*word^-1 instead of at i."""
     _below_masks(sys)
     inv = _column(sys, reversed(word))  # every letter is an involution
     return _down_closure(_MASKS[sys][1], inv)
@@ -439,21 +443,41 @@ def check_bruhat_minimal_equality(sub: TwistedSubgroup, label: str = "") -> Veri
 
 
 def check_minimal_chains(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
-    """Any two minimal members are linked through the minimal set."""
+    """Any two minimal members are linked through the minimal set.
+
+    One walk per minimal u goes down the twisted-word tree only along the
+    steps that the step rule judges EQUAL, so it reaches u * z for each z
+    whose whole word keeps u's length, as connect_minimals requires of the
+    word of u^-1 * v.  The pair (u, v) fails when the walk reaches v other
+    than exactly once.
+    """
     sys = sub.system
+    children = [[] for _ in sub.elements]  # parent -> [(z, g)]
+    for z, parent, g in twisted._word_tree(sub):
+        children[parent].append((z, g))
+    step = cosets._step
     checked = 0
     failures = []
     for members, nmin in cosets._cosets(sub):
-        mins = [sys.element(i) for i in members[:nmin]]
+        mins = members[:nmin]
         for u in mins:
-            for v in mins:
-                if u == v:
-                    continue
-                checked += 1
-                try:
-                    cosets.connect_minimals(sub, u, v)
-                except CoxeterError:
-                    failures.append((u.word_string(), v.word_string()))
+            checked += nmin - 1
+            reached = Counter()
+            todo = [(0, u)]
+            while todo:
+                z, i = todo.pop()
+                reached[i] += 1
+                for child, g in children[z]:
+                    try:
+                        j, verdict = step(sys, i, g)
+                    except CoxeterError:
+                        continue
+                    if verdict is StepVerdict.EQUAL:
+                        todo.append((child, j))
+            missed = [v for v in mins if v != u and reached[v] != 1]
+            if missed:
+                uw = sys.element(u).word_string()
+                failures.extend((uw, sys.element(v).word_string()) for v in missed)
     return VerificationReport("minimal-chains", label, checked, tuple(failures))
 
 

@@ -268,15 +268,40 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point(a2_json):
-    # the child imports the same package as this process, installed or not
+def child_env():
+    """The environment of a child that imports the same package as this
+    process, installed or not."""
     src = str(Path(coxtwist.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point(a2_json):
     proc = subprocess.run(
         [sys.executable, "-m", "coxtwist", "verify", a2_json],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "seed: 271828"
+
+
+def test_reader_closing_the_pipe_leaves_no_traceback(tmp_path):
+    # with a trivial subgroup every element of B5 is a coset: 3840 rows,
+    # more than a pipe holds, so the child still writes after the close
+    path = tmp_path / "b5.json"
+    path.write_text(json.dumps({"type": "B5", "L": []}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coxtwist", "cosets", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"group order: 3840  subgroup order: 1  cosets: 3840\n"
+    assert b"Traceback" not in err

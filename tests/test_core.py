@@ -407,6 +407,19 @@ def test_reflection_counts():
             assert ct.is_reflection(w) == (w.length % 2 == 1)
 
 
+@pytest.mark.parametrize("matrix", [
+    ct.named_matrix("A2"),
+    ((1, 3, 3), (3, 1, 3), (3, 3, 1)),
+], ids=["A2", "affine-A2"])
+def test_reflections_on_a_ball_without_a_generator(matrix):
+    # a cap of 2 keeps e and s1 only
+    sys = ct.build_system(matrix, cap=2)
+    assert not sys.complete and sys.size == 2
+    s1 = ct.element_from_word(sys, [0])
+    assert ct.reflections(sys) == (s1,)
+    assert ct.is_reflection(s1) and not ct.is_reflection(sys.identity)
+
+
 def test_inversion_set_matches_model():
     sys = a_system(4)
     trans = set(pm.all_transpositions(4))

@@ -105,6 +105,19 @@ def test_columns_match_walks(doc):
     assert verify._below_masks(sys) == below
 
 
+@pytest.mark.parametrize("doc", COLUMN_CASES, ids=["H3", "F4", "B4", "D4-swap", "I2(7)"])
+def test_oracle_records_covers(doc):
+    sys = ct.GroupDescription.from_dict(doc).build().system
+    verify._below_masks(sys)
+    lower = verify._MASKS[sys][1]
+    ref_words = [t.word for t in ct.reflections(sys)]
+    for w in sys:
+        covers = {sys._walk(w.index, word) for word in ref_words}
+        covers = {j for j in covers if sys.length[j] == w.length - 1}
+        assert len(lower[w.index]) == len(covers)
+        assert set(lower[w.index]) == covers
+
+
 def words_as_generators(sys, words):
     """Twisted generators replaced by the elements of 1-based words."""
     gens = []
@@ -432,12 +445,24 @@ def replayed_dominate_failures(sub):
     return failures
 
 
-def test_tree_walks_fail_like_per_pair_replays(monkeypatch):
-    case = ct.GroupDescription.from_dict(F4_SWAP).build()
-    sys, sub = case.system, case.subgroup
-    assert verify.check_step_dichotomy(sub, "F4").ok
-    assert verify.check_dominated_search(sub, "F4").ok
-    target = (ct.coset(sub, sys.gens()[0]).min_set[-1].index, sub.gens[1])
+def replayed_chain_failures(sub):
+    """minimal-chains' failures by one connect_minimals per ordered pair of
+    minimal members."""
+    failures = []
+    for a in ct.all_cosets(sub):
+        for u in a.min_set:
+            for v in a.min_set:
+                if u == v:
+                    continue
+                try:
+                    ct.connect_minimals(sub, u, v)
+                except ct.CoxeterError:
+                    failures.append((u.word_string(), v.word_string()))
+    return failures
+
+
+def plant_step_failure(monkeypatch, target):
+    """Make cosets._step raise at one (element index, generator) pair."""
     step = cosets._step
 
     def broken(system, i, g):
@@ -446,12 +471,43 @@ def test_tree_walks_fail_like_per_pair_replays(monkeypatch):
         return step(system, i, g)
 
     monkeypatch.setattr(cosets, "_step", broken)
+
+
+def test_tree_walks_fail_like_per_pair_replays(monkeypatch):
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys, sub = case.system, case.subgroup
+    assert verify.check_step_dichotomy(sub, "F4").ok
+    assert verify.check_dominated_search(sub, "F4").ok
+    assert verify.check_minimal_chains(sub, "F4").ok
+    plant_step_failure(
+        monkeypatch, (ct.coset(sub, sys.gens()[0]).min_set[-1].index, sub.gens[1])
+    )
     report = verify.check_step_dichotomy(sub, "F4")
     assert report.failures
     assert list(report.failures) == replayed_step_failures(sub)
     report = verify.check_dominated_search(sub, "F4")
     assert report.failures
     assert list(report.failures) == replayed_dominate_failures(sub)
+    # the planted step lengthens, so no chain between minimal members uses it
+    report = verify.check_minimal_chains(sub, "F4")
+    assert list(report.failures) == replayed_chain_failures(sub) == []
+
+
+def test_chain_walks_fail_like_replays_at_every_plant(monkeypatch):
+    sub = ct.GroupDescription.from_dict(
+        {"type": "A5", "theta": [[1, 5], [2, 4]]}
+    ).build().subgroup
+    targets = [(u.index, g) for a in ct.all_cosets(sub) for u in a.min_set for g in sub.gens]
+    assert len(targets) == 55 * 3
+    failing = 0
+    for target in targets:
+        with monkeypatch.context() as m:
+            plant_step_failure(m, target)
+            report = verify.check_minimal_chains(sub, "A5")
+            assert list(report.failures) == replayed_chain_failures(sub)
+        failing += bool(report.failures)
+    # a plant on a step that leaves the minimal set breaks no chain
+    assert 0 < failing < len(targets)
 
 
 def test_failed_bruhat_ascent_is_detected(monkeypatch):
