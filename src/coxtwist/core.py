@@ -17,11 +17,12 @@ Every subsequent operation is a walk over that one right-multiplication
 table, so answers are exact.  The table entry w*s of the last letter s of
 w's canonical word is the element whose canonical word drops that letter,
 so a canonical word is read up the table from its end, w = (w*s)*s, one
-stored last letter per step (_chain), and the Bruhat order lifts through
-right descents along the same chain.  An inverse is the walk of that chain
-from the identity (_walk_inverse), so no second table is kept.  A walk that
-would leave the enumerated region raises OutOfEnumeratedRegion instead of
-guessing.
+stored last letter per step, and the Bruhat order lifts through right
+descents along the same chain.  One chain reader (_chain) serves W and the
+fixed subgroups of twisted.py, which store their last letters the same way.
+An inverse is the walk of that chain from the identity (_walk_inverse), so
+no second table is kept.  A walk that would leave the enumerated region
+raises OutOfEnumeratedRegion instead of guessing.
 """
 from __future__ import annotations
 
@@ -38,6 +39,19 @@ from .rings import CosineRing
 
 DEFAULT_CAP = 100_000
 INF = math.inf
+
+
+def _chain(table: Sequence[Sequence], last: Sequence, i: int) -> list[int]:
+    """Letters of i's word, last letter first, read up a table whose row i
+    holds i's products by the generators and last[i] the last letter of
+    i's word (None for the identity, at 0): i = (i*s)*s for s = last[i].
+    W's canonical words and H's twisted words are both read this way."""
+    out = []
+    while i:
+        s = last[i]
+        out.append(s)
+        i = table[i][s]
+    return out
 
 
 class Element:
@@ -57,7 +71,8 @@ class Element:
     @property
     def word(self) -> tuple[int, ...]:
         """Canonical ShortLex reduced word, 0-based generator indices."""
-        letters = self.system._chain(self.index)
+        sys = self.system
+        letters = _chain(sys._table, sys._last, self.index)
         letters.reverse()
         return tuple(letters)
 
@@ -179,20 +194,9 @@ class CoxeterSystem:
             i = nxt
         return i
 
-    def _chain(self, i: int) -> list[int]:
-        """Letters of element i's canonical word, last letter first, read up
-        the table: i = (i*s)*s for its last letter s."""
-        table, last = self._table, self._last
-        out = []
-        while i:
-            s = last[i]
-            out.append(s)
-            i = table[i][s]
-        return out
-
     def _walk_inverse(self, start: int, i: int) -> int:
         """Index of start * (element i)^-1: the walk of i's letters from
-        the last, read up the table as in _chain, with no list built."""
+        the last, read up the table as _chain reads it, with no list built."""
         table, last = self._table, self._last
         p = start
         while i:

@@ -195,10 +195,11 @@ def _parse_matrix(raw):
             raise DescriptionError("'matrix' rows must be lists")
         row = []
         for e in r:
-            if e is None or e == "inf" or e == 0:
+            if e is None or e == "inf":
                 row.append(math.inf)
             elif isinstance(e, int) and not isinstance(e, bool):
-                row.append(e)
+                # the integer 0 spells an infinite bond; false and 0.0 do not
+                row.append(e or math.inf)
             else:
                 raise DescriptionError(f"bad matrix entry {e!r}")
         rows.append(tuple(row))

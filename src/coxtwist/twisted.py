@@ -7,12 +7,14 @@ parabolics: a fixed generator s contributes s, a swapped pair {s, t} with
 finite m(s, t) contributes the longest element of the dihedral on {s, t}.
 Pairs with m = infinity contribute nothing and are reported as skipped.
 Every product by a twisted generator goes through _times.  The fixed
-subgroup is stored like W, as ShortLex-ordered members and one table of
-products by the generators, filled by one closure of the identity.  Greedy
-twisted words are prefix-closed, word(z) = word(z*g) + (g,), so they form a
-tree rooted at the identity (_word_tree); words, the tree and quotients
-z^-1 * z' (_quotient) are read from the table.  Cosets x * H are filled
-down the tree, and the verify suites walk it.
+subgroup is stored like W: ShortLex-ordered members, one table of products
+by the generators and, beside it, the last letter of each member's greedy
+twisted word, all filled by one closure of the identity.  Greedy twisted
+words are prefix-closed, word(z) = word(z*g) + (g,) for g the last letter,
+so they form a tree rooted at the identity (_word_tree).  Words and
+quotients z^-1 * z' (_quotient) are read up that tree by W's chain reader,
+core._chain.  Cosets x * H are filled down the tree, and the verify suites
+walk it.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import core
 from .core import CoxeterSystem, Element
@@ -101,9 +103,11 @@ def _times(sys: CoxeterSystem, i: int, g: TwistedGenerator) -> int:
 
 @dataclass(frozen=True)
 class TwistedSubgroup:
-    """The fixed subgroup of theta on W_L, members in ShortLex order, and
-    table[z][a] the position of elements[z] * gens[a]: a generator position,
-    so a copy with other gens reads its own."""
+    """The fixed subgroup of theta on W_L, members in ShortLex order,
+    table[z][a] the position of elements[z] * gens[a] and last[z] the
+    generator position of the last letter of z's greedy twisted word (None
+    for the identity), so table[z][last[z]] is z's parent.  Generators are
+    named by position, so a copy with other gens reads its own."""
 
     system: CoxeterSystem
     theta: DiagramAutomorphism
@@ -111,6 +115,7 @@ class TwistedSubgroup:
     skipped_orbits: tuple[tuple[int, ...], ...]
     elements: tuple[Element, ...]
     table: tuple[tuple[int, ...], ...]
+    last: tuple[int | None, ...]
 
     @property
     def order(self) -> int:
@@ -127,35 +132,14 @@ class TwistedSubgroup:
         return f"TwistedSubgroup(order={self.order}, gens={len(self.gens)})"
 
 
-def _descent(row: Sequence[int], z: int) -> int:
-    """The first generator position a with row[a] < z, for z's row of
-    positions or of indices (both ShortLex-ordered) and z not the identity:
-    the last letter of z's greedy twisted word, and row[a] its parent."""
-    a = 0
-    while row[a] > z:  # no generator fixes z
-        a += 1
-    return a
-
-
-def _chain(table: Sequence[Sequence[int]], z: int) -> list[int]:
-    """Generator positions of member z's twisted word, last letter first,
-    read up the parent chain to the identity."""
-    out = []
-    while z:
-        a = _descent(table[z], z)
-        out.append(a)
-        z = table[z][a]
-    return out
-
-
 def _quotient(sub: TwistedSubgroup, x: int, y: int) -> int:
     """Position of elements[x]^-1 * elements[y], walked in the table; the
     twisted generators are involutions, so x's chain spells its inverse."""
     if not x:  # the identity, as for a coset first touched at its base
         return y
-    table = sub.table
+    table, last = sub.table, sub.last
     p = 0
-    for g in _chain(table, x) + _chain(table, y)[::-1]:
+    for g in core._chain(table, last, x) + core._chain(table, last, y)[::-1]:
         p = table[p][g]
     return p
 
@@ -163,12 +147,11 @@ def _quotient(sub: TwistedSubgroup, x: int, y: int) -> int:
 def _word_tree(sub: TwistedSubgroup) -> list[tuple[int, int, TwistedGenerator]]:
     """The twisted-word tree as (z, parent, g) rows in ShortLex order: z and
     parent are positions in sub.elements and g is z's last letter, so z =
-    parent * g.  Read from the table, a corrupted entry reaches every walk."""
-    rows = []
-    for z in range(1, sub.order):  # position 0 is the identity, the root
-        a = _descent(sub.table[z], z)
-        rows.append((z, sub.table[z][a], sub.gens[a]))
-    return rows
+    parent * g.  Each parent is read from the table on each call, so a
+    corrupted entry reaches every walk."""
+    table, gens = sub.table, sub.gens
+    # position 0 is the identity, the root
+    return [(z, table[z][a], gens[a]) for z, a in enumerate(sub.last) if z]
 
 
 def validate_automorphism(sys: CoxeterSystem, L: Iterable[int], mapping: Mapping[int, int]) -> DiagramAutomorphism:
@@ -256,19 +239,22 @@ def is_fixed(theta: DiagramAutomorphism, w: Element) -> bool:
 def enumerate_fixed_subgroup(theta: DiagramAutomorphism) -> TwistedSubgroup:
     """Close the identity under the twisted generators: the fixed subgroup.
 
-    Members leave a heap in index order, each product z*g is one _times
-    call, and each nonidentity member's first descent must drop the whole
-    generator length, so it leaves the heap after its parent: sorted order.
+    Members leave a heap in index order and each product z*g is one _times
+    call.  A nonidentity member's first descent, the first generator that
+    shortens it, is the last letter of its greedy twisted word; it must drop
+    the whole generator length, so the member leaves the heap after its
+    parent: sorted order.
     """
     sys = theta.system
     gens = twisted_generators(theta)
     length = sys.length
-    found, rows, seen, heap = [], [], {0}, [0]
+    found, rows, last, seen, heap = [], [], [], {0}, [0]
     try:
         while heap:
             i = heapq.heappop(heap)
             row = [_times(sys, i, g) for g in gens]
-            a = _descent(row, i) if min(row, default=i) < i else None
+            # indices follow ShortLex order: a smaller product is shorter
+            a = next((a for a, j in enumerate(row) if j < i), None)
             if i and (a is None or length[i] - length[row[a]] != gens[a].elt.length):
                 raise TheoremViolation(
                     f"fixed element {sys.element(i).word_string()!r} has no first descent "
@@ -280,22 +266,26 @@ def enumerate_fixed_subgroup(theta: DiagramAutomorphism) -> TwistedSubgroup:
                     heapq.heappush(heap, j)
             found.append(i)
             rows.append(row)
+            last.append(a)
     except OutOfEnumeratedRegion as e:
         raise CapExceeded(f"fixed subgroup did not close within {sys.cap} elements") from e
     at = {i: k for k, i in enumerate(found)}
     elements = tuple(Element(sys, i) for i in found)
     table = tuple(tuple(at[j] for j in row) for row in rows)
-    return TwistedSubgroup(sys, theta, tuple(gens), skipped_orbits(theta), elements, table)
+    return TwistedSubgroup(
+        sys, theta, tuple(gens), skipped_orbits(theta), elements, table, tuple(last)
+    )
 
 
 def twisted_reduced_word(sub: TwistedSubgroup, z: Element) -> list[TwistedGenerator]:
     """Greedy reduced word for z over the twisted generators, read up z's
-    parent chain in the table: at each step, the first generator in
-    declared order that lowers the length."""
+    parent chain by its stored last letters: at each step, the first
+    generator in declared order that lowers the length."""
     if z not in sub:
         raise NotFixed(f"{z.word_string()!r} is not in the fixed subgroup")
     gens = sub.gens
-    return [gens[a] for a in reversed(_chain(sub.table, sub._positions[z.index]))]
+    chain = core._chain(sub.table, sub.last, sub._positions[z.index])
+    return [gens[a] for a in reversed(chain)]
 
 
 def twisted_length(sub: TwistedSubgroup, z: Element) -> int:

@@ -22,9 +22,11 @@ members in one breadth-first pass over the table.  The coset suites read
 each coset once from the shared partition (cosets._cosets), and
 bruhat-minimal-equality tests each member against one mask of its coset.
 The twisted words, chain quotients and tree rows they use are all read
-from the subgroup's table.  minimal-chains, step-dichotomy and
-dominated-minimal-search walk the twisted-word tree (twisted._word_tree) in
-index space, one walk per minimal member or per coset: the words are
+from the subgroup's table and stored last letters.  minimal-chains,
+step-dichotomy and dominated-minimal-search walk the twisted-word tree in
+index space, one walk per minimal member or per coset; each reads its rows
+afresh from the table (twisted._word_tree), not from the partition's copy,
+so a corrupted table entry reaches every walk.  The words are
 prefix-closed, so each edge of the tree is one step of every word through
 it, judged once by the coset module's own step rules (cosets._step,
 cosets._advance).  minimal-chains follows only the steps that keep the

@@ -189,6 +189,11 @@ def test_description_errors_exit_two(tmp_path, capsys):
     assert main(["cosets", str(mismatch)]) == 2
     assert "m(" in capsys.readouterr().err
 
+    false_bond = tmp_path / "false-bond.json"
+    false_bond.write_text(json.dumps({"matrix": [[1, False], [False, 1]]}))
+    assert main(["cosets", str(false_bond)]) == 2
+    assert "bad matrix entry False" in capsys.readouterr().err
+
 
 def test_verify_config_errors_exit_two(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2

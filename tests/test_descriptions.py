@@ -87,6 +87,11 @@ def test_from_dict_explicit_matrix_with_infinity_spellings():
         case = d.build()
         assert not case.system.complete and case.system.size == 25
         assert case.subgroup.order == 1  # the single orbit is infinite, so skipped
+    # JSON false and 0.0 compare equal to 0 in Python, but are not spellings
+    for spelling in (False, True, 0.0, 3.0, "0"):
+        doc = {"matrix": [[1, spelling], [spelling, 1]]}
+        with pytest.raises(DescriptionError, match="bad matrix entry"):
+            GroupDescription.from_dict(doc)
 
 
 def test_from_dict_rejections():

@@ -100,6 +100,13 @@ def test_twisted_words_are_additive(case):
     position = {z: k for k, z in enumerate(sub.elements)}
     for k, z in enumerate(sub.elements):
         assert list(sub.table[k]) == [position[ct.multiply(z, g.elt)] for g in sub.gens]
+        # the stored last letter is the greedy word's, and it leads to the parent
+        word = greedy_strip(sub, z)
+        if k:
+            assert sub.gens[sub.last[k]] is word[-1]
+            assert sub.table[k][sub.last[k]] < k
+        else:
+            assert sub.last[k] is None
     for z in order:
         word = ct.twisted_reduced_word(sub, z)
         out = sub.system.identity
