@@ -1,19 +1,18 @@
 """Verification suites: independent oracles and exhaustive structure checks.
 
-The Bruhat oracle here is built straight from the definition (transitive
-closure of x -> x*t over reflections t with a length increase) and never
-calls core.bruhat_leq, so the two sides of the oracle-agreement suite stay
-independent.  It reads x*t from one right-multiplication column per
-reflection (_reflection_columns): the generator columns of the table,
-conjugated as i*(sts) = ((i*s)*t)*s until no new reflection appears.  It
-records each element's covers i*t, l(i*t) = l(i) - 1: by the chain
-property of the graded Bruhat order (Bjorner-Brenti, Combinatorics of
-Coxeter Groups, Thm 2.2.6) their closure is the closure over every lower
-reflection neighbour.  One recurrence over them (_down_closure) fills the
-masks, so it can be rerun from another seed.  The remaining suites check
-the structural guarantees of the twisted and coset modules over whole
-groups, recording every counterexample as a tuple of serialized canonical
-words.  The lemma suites read each product i*g from g's column (_column).
+The Bruhat oracle here never calls core.bruhat_leq.  It records each
+element's covers and closes over them: by the chain property of the graded
+Bruhat order (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.2.6)
+that is the closure over every lower reflection neighbour.  The covers
+come from the table and the stored last letters by the lifting property
+(ibid., Prop. 2.2.7; _below_masks), so the oracle checks that each last
+letter is a descent.  The definition-based reference, the closure of
+x -> x*t over the reflections t, is in tests/conftest.py.  One recurrence
+over the covers (_down_closure) fills the masks, so it can be rerun from
+another seed.  The remaining suites check the structural guarantees of the
+twisted and coset modules over whole groups, recording every
+counterexample as a tuple of serialized canonical words.  The lemma suites
+read each product i*g from g's column (_column).
 equal-length-transfer reruns the recurrence once per generator g, seeded
 at i*g^-1, for the preimage masks {u : u*g <= i} (_preimage_masks), and
 finds the failing u of each w by whole-mask arithmetic.
@@ -49,7 +48,9 @@ from . import core, cosets, twisted
 from .core import CoxeterSystem, Element
 from .cosets import StepVerdict, TwistedSubgroup
 from .descriptions import GroupDescription
-from .errors import CapExceeded, CoxeterError, DescriptionError, OutOfEnumeratedRegion
+from .errors import (
+    CapExceeded, CoxeterError, DescriptionError, OutOfEnumeratedRegion, TheoremViolation,
+)
 from .twisted import GeneratorParity
 
 DEFAULT_SEED = 271828
@@ -154,23 +155,6 @@ def _column(sys: CoxeterSystem, word) -> list[int]:
     return col
 
 
-def _reflection_columns(sys: CoxeterSystem) -> list[list[int]]:
-    """One column per reflection of a complete system, col[0] being the
-    reflection itself: the closure of the generator columns under
-    conjugation, i*(sts) = ((i*s)*t)*s."""
-    table = sys._table
-    gens = [[row[s] for row in table] for s in range(sys.rank)]
-    cols = gens[:]
-    found = {c[0] for c in cols}
-    for ct in cols:  # grows while it is read
-        for cs in gens:
-            t = cs[ct[cs[0]]]
-            if t not in found:
-                found.add(t)
-                cols.append([cs[ct[j]] for j in cs])
-    return cols
-
-
 def _down_closure(lower: list[list[int]], seed) -> list[int]:
     """out[i] = 1 << seed[i] | out[j] for every cover j of i: the down-set
     of element i, each member u moved to seed[u]'s bit.  Covers are shorter,
@@ -185,20 +169,26 @@ def _down_closure(lower: list[list[int]], seed) -> list[int]:
 
 
 def _below_masks(sys: CoxeterSystem) -> list[int]:
-    """below[i] is the bitmask of indices u with u <= element i, computed as
-    the transitive closure of the covers.  lower[i], the covers i*t with
-    l(i*t) = l(i) - 1 over reflections t, is kept in the cache entry for
-    _preimage_masks."""
+    """below[i] is the bitmask of indices u with u <= element i: the closure
+    of lower[i], the covers of i, kept in the cache entry for _preimage_masks.
+    With s = last[i] and p = i*s, lower[i] = [p] + [c*s for c in lower[p] if
+    c*s > c], a larger index being a longer element.  A last letter that is
+    not a descent, l(p) != l(i) - 1, raises TheoremViolation, caching nothing."""
     entry = _MASKS.get(sys)
     if entry is not None:
         return entry[0]
     if not sys.complete:
         raise CapExceeded("the Bruhat oracle needs a fully enumerated group")
-    length = sys.length
-    lower = []
-    for i, row in enumerate(zip(*_reflection_columns(sys))):
-        cover = length[i] - 1
-        lower.append([j for j in row if length[j] == cover])
+    table, last, length = sys._table, sys._last, sys.length
+    lower = [[]]
+    for i in range(1, sys.size):
+        s = last[i]
+        p = table[i][s]
+        if length[p] != length[i] - 1:
+            raise TheoremViolation(
+                f"stored last letter s{s + 1} of element {i} is not a right descent"
+            )
+        lower.append([p] + [cs for c in lower[p] if (cs := table[c][s]) > c])
     below = _down_closure(lower, range(sys.size))
     _MASKS[sys] = (below, lower)
     return below
@@ -214,7 +204,9 @@ def _preimage_masks(sys: CoxeterSystem, word) -> list[int]:
 
 
 def oracle_bruhat(sys: CoxeterSystem, u: Element, w: Element) -> bool:
-    """Definitional Bruhat comparison, independent of core.bruhat_leq."""
+    """Bruhat comparison by the oracle masks, independent of core.bruhat_leq."""
+    if u.system is not sys or w.system is not sys:
+        raise ValueError("elements belong to different systems")
     below = _below_masks(sys)
     return bool((below[w.index] >> u.index) & 1)
 

@@ -77,6 +77,24 @@ def down_set(w):
     return found
 
 
+def reflection_closure(sys):
+    """The Bruhat down-set masks by definition: below[i] closes {i} under
+    x -> x*t for every reflection t with l(x*t) < l(x), one walk of every
+    reflection word from every element.  Independent of the oracle's covers
+    and of core.bruhat_leq."""
+    below = [0] * sys.size
+    ref_words = [t.word for t in ct.reflections(sys)]
+    for w in sys:
+        i = w.index
+        mask = 1 << i
+        for word in ref_words:
+            j = sys._walk(i, word)
+            if sys.length[j] < w.length:
+                mask |= below[j]
+        below[i] = mask
+    return below
+
+
 @pytest.fixture()
 def flipped_oracle(monkeypatch):
     """Negative control for the Bruhat oracle: _below_masks returns a copy

@@ -1,5 +1,6 @@
 """Property tests on random Coxeter matrices of rank at most 4, enumerated
-as small (often truncated) balls, and on the fixed subgroups of the swap of
+as small (often truncated) balls, on random products of small finite types
+with shuffled generators, and on the fixed subgroups of the swap of
 generators 1 and 2 in matrices symmetric under it."""
 
 import math
@@ -9,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import coxtwist as ct
-from conftest import down_set
+from coxtwist import verify
+from conftest import down_set, reflection_closure
 
 BONDS = (2, 3, 4, 5, 6, math.inf)
 
@@ -42,6 +44,38 @@ def test_inverse_and_left_descents(sys):
             continue
         assert ct.multiply(inv, w) == sys.identity
         assert ct.descents(w, "left") == ct.descents(inv)
+
+
+# group order of each finite factor a product may draw
+FINITE_ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "D4": 192, "H3": 120,
+    **{f"I2({m})": 2 * m for m in range(5, 9)},
+}
+
+
+@st.composite
+def finite_products(draw):
+    """A product of one to three small finite types, of order at most 1500,
+    its generators permuted so that every canonical word and last letter
+    moves."""
+    blocks, order = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        fits = sorted(name for name, o in FINITE_ORDERS.items() if order * o <= 1500)
+        if not fits:
+            break
+        name = draw(st.sampled_from(fits))
+        blocks.append(ct.named_matrix(name))
+        order *= FINITE_ORDERS[name]
+    rows = ct.product_matrix(blocks)
+    perm = draw(st.permutations(range(len(rows))))
+    return ct.build_system([[rows[a][b] for b in perm] for a in perm])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(finite_products())
+def test_oracle_matches_reflection_closure(sys):
+    assert sys.complete
+    assert verify._below_masks(sys) == reflection_closure(sys)
 
 
 def swap_case(rows, L, rng, cap=ct.DEFAULT_CAP):

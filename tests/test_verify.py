@@ -9,7 +9,7 @@ import pytest
 
 import coxtwist as ct
 from coxtwist import core, cosets, twisted, verify
-from conftest import a_system, dihedral
+from conftest import a_system, dihedral, reflection_closure
 
 import permutation_models as pm
 
@@ -85,24 +85,9 @@ def test_columns_match_walks(doc):
     sys = ct.GroupDescription.from_dict(doc).build().system
     refs = ct.reflections(sys)
     walks = {t.index: [sys._walk(i, t.word) for i in range(sys.size)] for t in refs}
-    cols = verify._reflection_columns(sys)
-    assert len(cols) == len(refs)
-    assert {c[0]: c for c in cols} == walks
     for t in refs:
         assert verify._column(sys, t.word) == walks[t.index]
-    # the down-set closure the oracle had before columns: one walk of
-    # every reflection word from every element
-    below = [0] * sys.size
-    ref_words = [t.word for t in refs]
-    for w in sys:
-        i = w.index
-        mask = 1 << i
-        for word in ref_words:
-            j = sys.element(sys._walk(i, word))
-            if j.length < w.length:
-                mask |= below[j.index]
-        below[i] = mask
-    assert verify._below_masks(sys) == below
+    assert verify._below_masks(sys) == reflection_closure(sys)
 
 
 @pytest.mark.parametrize("doc", COLUMN_CASES, ids=["H3", "F4", "B4", "D4-swap", "I2(7)"])
@@ -116,6 +101,33 @@ def test_oracle_records_covers(doc):
         covers = {j for j in covers if sys.length[j] == w.length - 1}
         assert len(lower[w.index]) == len(covers)
         assert set(lower[w.index]) == covers
+
+
+def test_oracle_refuses_elements_of_another_system():
+    a, b = a_system(3), a_system(3)
+    with pytest.raises(ValueError, match="different systems"):
+        verify.oracle_bruhat(a, a.identity, b.element(5))
+    with pytest.raises(ValueError, match="different systems"):
+        verify.oracle_bruhat(a, b.identity, a.element(5))
+
+
+def test_corrupt_last_letter_stops_the_oracle(monkeypatch):
+    # a fresh build: the oracle must refuse it before caching anything
+    case = ct.GroupDescription.from_dict({"type": "F4"}).build()
+    sys = case.system
+    w = sys.size // 2
+    ascent = next(s for s in range(sys.rank) if sys._table[w][s] > w)
+    sys._last[w] = ascent
+    with pytest.raises(ct.TheoremViolation, match=f"s{ascent + 1} of element {w} "):
+        verify._below_masks(sys)
+    assert sys not in verify._MASKS
+    with pytest.raises(ct.TheoremViolation):
+        verify.check_oracle_agreement(sys, "F4")
+    monkeypatch.setattr(ct.GroupDescription, "build", lambda self: case)
+    config = {"cases": [{"name": "F4", "type": "F4", "suites": ["bruhat-oracle-agreement"]}]}
+    (report,) = ct.run_suite(config).reports
+    assert report.checked == 0
+    assert report.failures[0][0].startswith(f"error: stored last letter s{ascent + 1} of element {w} ")
 
 
 def words_as_generators(sys, words):
