@@ -45,13 +45,22 @@ def _chain(table: Sequence[Sequence], last: Sequence, i: int) -> list[int]:
     """Letters of i's word, last letter first, read up a table whose row i
     holds i's products by the generators and last[i] the last letter of
     i's word (None for the identity, at 0): i = (i*s)*s for s = last[i].
-    W's canonical words and H's twisted words are both read this way."""
+    W's canonical words and H's twisted words are both read this way.  A
+    real step goes to i's parent, which has a smaller index (position, in
+    H); any other step raises TheoremViolation."""
     out = []
     while i:
         s = last[i]
         out.append(s)
-        i = table[i][s]
+        p = table[i][s]
+        if p is None or p >= i:
+            raise _not_a_descent(s, i)
+        i = p
     return out
+
+
+def _not_a_descent(s: int, i: int) -> TheoremViolation:
+    return TheoremViolation(f"stored last letter s{s + 1} of element {i} is not a right descent")
 
 
 class Element:
@@ -115,7 +124,6 @@ class CoxeterSystem:
 
     Attributes:
         matrix: bond matrix, entries int or math.inf.
-        generators: generator labels in declared order.
         cap: enumeration bound that was in force.
         complete: True iff the whole group fits inside the cap.
         length: length of each element by index (ShortLex order).
@@ -123,16 +131,15 @@ class CoxeterSystem:
             each access; no word is stored.
     """
 
-    def __init__(self, matrix, generators, cap, length, last, table, complete):
+    def __init__(self, matrix, cap, length, last, table, complete):
         self.matrix = matrix
-        self.generators = generators
         self.cap = cap
         self.length = length
         # last letter of each canonical word, None for the identity
         self._last = last
         self._table = table
         self.complete = complete
-        self.rank = len(generators)
+        self.rank = len(matrix)
         # not a functools.cached_property: its write through __dict__ slows
         # every later attribute load on the system (CPython 3.11+)
         self._reflection_cache = None
@@ -206,7 +213,10 @@ class CoxeterSystem:
                 raise OutOfEnumeratedRegion(
                     f"product escapes the enumerated ball of {self.size} elements"
                 )
-            i = table[i][s]
+            parent = table[i][s]
+            if parent is None or parent >= i:
+                raise _not_a_descent(s, i)
+            i = parent
         return p
 
     def _reflections(self):
@@ -266,7 +276,7 @@ def _validate_matrix(matrix) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
-def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> CoxeterSystem:
+def build_system(matrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     """Enumerate the Coxeter system of a bond matrix up to ``cap`` elements.
 
     Elements are found breadth-first and told apart by their orbit vectors
@@ -280,12 +290,6 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
     n = len(matrix)
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise MalformedMatrix("cap must be a positive integer")
-    if generator_names is None:
-        generator_names = tuple(f"s{i + 1}" for i in range(n))
-    else:
-        generator_names = tuple(str(x) for x in generator_names)
-        if len(generator_names) != n:
-            raise MalformedMatrix("generator_names length must match the matrix rank")
 
     finite_orders = {matrix[i][j] for i in range(n) for j in range(i + 1, n) if matrix[i][j] != INF}
     ring = CosineRing(finite_orders)
@@ -357,7 +361,6 @@ def build_system(matrix, cap: int = DEFAULT_CAP, generator_names=None) -> Coxete
 
     return CoxeterSystem(
         matrix=matrix,
-        generators=generator_names,
         cap=cap,
         length=length,
         last=last,
@@ -535,17 +538,13 @@ def longest_element(sys: CoxeterSystem, J: Iterable[int]) -> Element:
     return Element(sys, best)
 
 
-def enumerate_ball(
-    sys: CoxeterSystem, gens: Iterable[Element], cap: int | None = None
-) -> tuple[tuple[Element, ...], bool]:
+def enumerate_ball(sys: CoxeterSystem, gens: Iterable[Element]) -> tuple[tuple[Element, ...], bool]:
     """Closure of {e} under right multiplication by ``gens``, as
     (elements in ShortLex order, complete).
 
-    Truncation (either by ``cap`` or by leaving the system's enumerated
-    region) is flagged by ``complete`` being False, never raised.
+    A product that leaves the system's enumerated region is flagged by
+    ``complete`` being False, never raised.
     """
-    if cap is None:
-        cap = sys.cap
     gen_words = []
     for g in gens:
         _same_system(g, sys.identity)
@@ -561,9 +560,6 @@ def enumerate_ball(
                 complete = False
                 continue
             if j not in seen:
-                if len(seen) >= cap:
-                    complete = False
-                    continue
                 seen.add(j)
                 queue.append(j)
     return tuple(Element(sys, i) for i in sorted(seen)), complete

@@ -405,7 +405,7 @@ def dominated_minimal(sub: TwistedSubgroup, x: Element) -> Element:
     return dominate(sub, x).witness
 
 
-def min_graph_dot(analysis: CosetAnalysis, name: str = "min_graph") -> str:
+def min_graph_dot(analysis: CosetAnalysis) -> str:
     """Render the minimal-element graph in DOT, deterministically.
 
     Nodes are canonical words as digit strings when every index is a
@@ -423,7 +423,7 @@ def min_graph_dot(analysis: CosetAnalysis, name: str = "min_graph") -> str:
         return w.word_string()
 
     nick = {g.elt.index: generator_nickname(i) for i, g in enumerate(analysis.subgroup.gens)}
-    lines = [f"graph {name} {{"]
+    lines = ["graph min_graph {"]
     for w in analysis.min_set:
         lines.append(f'  "{label(w)}";')
     for u, v, g in analysis.min_graph:

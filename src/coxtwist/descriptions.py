@@ -11,7 +11,6 @@ A description document is a JSON object with the keys
     theta            list of swapped 1-based pairs, e.g. [[1,4],[2,3]];
                      unlisted members of L are fixed
     cap              enumeration bound (default 100000)
-    generator_names  optional display labels
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from .core import CoxeterSystem
 from .errors import DescriptionError
 from .twisted import DiagramAutomorphism, TwistedSubgroup
 
-_KNOWN_KEYS = {"name", "type", "matrix", "L", "theta", "cap", "generator_names"}
+_KNOWN_KEYS = {"name", "type", "matrix", "L", "theta", "cap"}
 
 
 def named_matrix(name: str) -> tuple[tuple, ...]:
@@ -99,7 +98,6 @@ class GroupDescription:
     """Validated description, 0-based indices throughout."""
 
     matrix: tuple[tuple, ...]
-    generator_names: tuple[str, ...] | None
     L: tuple[int, ...]
     theta_pairs: tuple[tuple[int, int], ...]
     cap: int
@@ -145,18 +143,10 @@ class GroupDescription:
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
             raise DescriptionError("cap must be a positive integer")
 
-        names = doc.get("generator_names")
-        if names is not None:
-            names = tuple(str(x) for x in _expect_list(names, "generator_names"))
-            if len(names) != n:
-                raise DescriptionError("generator_names length must match the rank")
-
-        return GroupDescription(
-            matrix=matrix, generator_names=names, L=L, theta_pairs=tuple(pairs), cap=cap
-        )
+        return GroupDescription(matrix=matrix, L=L, theta_pairs=tuple(pairs), cap=cap)
 
     def build(self) -> "RealizedCase":
-        system = core.build_system(self.matrix, cap=self.cap, generator_names=self.generator_names)
+        system = core.build_system(self.matrix, cap=self.cap)
         mapping = {}
         for a, b in self.theta_pairs:
             mapping[a] = b

@@ -24,15 +24,6 @@ import math
 # Polynomials are tuples of int coefficients, ascending degree.
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
 def _poly_divexact(num, den):
     """Exact division of integer polynomials; the remainder must vanish."""
     num = list(num)

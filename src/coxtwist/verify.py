@@ -14,8 +14,8 @@ twisted and coset modules over whole groups, recording every
 counterexample as a tuple of serialized canonical words.  The lemma suites
 read each product i*g from g's column (_column).
 equal-length-transfer reruns the recurrence once per generator g, seeded
-at i*g^-1, for the preimage masks {u : u*g <= i} (_preimage_masks), and
-finds the failing u of each w by whole-mask arithmetic.
+at i*g^-1, for the preimage masks {u : u*g <= i}, and finds the failing u
+of each w by whole-mask arithmetic.
 fixed-subgroup-equality finds W_L and the theta-image of each of its
 members in one breadth-first pass over the table.  The coset suites read
 each coset once from the shared partition (cosets._cosets), and
@@ -170,7 +170,8 @@ def _down_closure(lower: list[list[int]], seed) -> list[int]:
 
 def _below_masks(sys: CoxeterSystem) -> list[int]:
     """below[i] is the bitmask of indices u with u <= element i: the closure
-    of lower[i], the covers of i, kept in the cache entry for _preimage_masks.
+    of lower[i], the covers of i, kept in the cache entry for the preimage
+    masks of check_lemma_corr.
     With s = last[i] and p = i*s, lower[i] = [p] + [c*s for c in lower[p] if
     c*s > c], a larger index being a longer element.  A last letter that is
     not a descent, l(p) != l(i) - 1, raises TheoremViolation, caching nothing."""
@@ -192,15 +193,6 @@ def _below_masks(sys: CoxeterSystem) -> list[int]:
     below = _down_closure(lower, range(sys.size))
     _MASKS[sys] = (below, lower)
     return below
-
-
-def _preimage_masks(sys: CoxeterSystem, word) -> list[int]:
-    """pre[i] is the bitmask of indices u with u*word <= element i, that is
-    {v*word^-1 : v <= i}: the recurrence of _below_masks over the recorded
-    covers, seeded at i*word^-1 instead of at i."""
-    _below_masks(sys)
-    inv = _column(sys, reversed(word))  # every letter is an involution
-    return _down_closure(_MASKS[sys][1], inv)
 
 
 def oracle_bruhat(sys: CoxeterSystem, u: Element, w: Element) -> bool:
@@ -258,8 +250,9 @@ def check_lemma_commuting_reflections(sys: CoxeterSystem, label: str = "") -> Ve
     return VerificationReport("commuting-reflection-inversions", label, checked, tuple(failures))
 
 
-def check_lemma_long_gen(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = "") -> VerificationReport:
+def check_lemma_long_gen(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """A length ascent by a twisted generator is a Bruhat ascent."""
+    sys = sub.system
     length = sys.length
     checked = 0
     failures = []
@@ -275,60 +268,51 @@ def check_lemma_long_gen(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = 
     return VerificationReport("ascent-implies-bruhat", label, checked, tuple(failures))
 
 
-def _transfer_failures(
-    sys: CoxeterSystem, word, below: list[int]
-) -> tuple[int, list[tuple[int, int]]]:
-    """equal-length-transfer for one twisted generator x = ``word``: the
-    number of pairs u <= w checked and the failing (u, w), w then u
-    ascending.  For w with l(w*x) = l(w), the failing u are the bits of
-
-        below[w] & ~below[w*x] & ~(shrink & pre[w*x]),
-
-    pre from _preimage_masks and shrink = {u : l(u*x) <= l(u)}, so only
-    failing bits are visited.  pre dies when this returns, so one
-    generator's preimage masks are alive at a time."""
-    length = sys.length
-    col = _column(sys, word)
-    pairs = [(iw, iwx) for iw, iwx in enumerate(col) if length[iwx] == length[iw]]
-    if not pairs:
-        return 0, []
-    pre = _preimage_masks(sys, word)
-    bits = ["1" if length[j] <= length[u] else "0" for u, j in enumerate(col)]
-    shrink = int("".join(reversed(bits)), 2)
-    checked = 0
-    failures = []
-    for iw, iwx in pairs:
-        dominated = below[iw]
-        checked += dominated.bit_count()
-        rest = dominated & ~below[iwx]
-        if rest:
-            rest &= ~(shrink & pre[iwx])
-        while rest:
-            lsb = rest & -rest
-            rest ^= lsb
-            failures.append((lsb.bit_length() - 1, iw))
-    return checked, failures
-
-
-def check_lemma_corr(sys: CoxeterSystem, sub: TwistedSubgroup, label: str = "") -> VerificationReport:
+def check_lemma_corr(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """If u <= w and the twisted generator x keeps the length of w, then u
     or u*x stays dominated by w*x without growing.
 
-    Each generator's failures are whole-mask arithmetic over the oracle
-    masks and that generator's preimage masks (_transfer_failures); the
-    loop visits only the failing u.  Failures are ordered by generator,
-    then w, then u."""
+    For w with l(w*x) = l(w), the failing u are the bits of
+
+        below[w] & ~below[w*x] & ~(shrink & pre[w*x]),
+
+    with shrink = {u : l(u*x) <= l(u)} and pre[i] = {u : u*x <= i} =
+    {v*x^-1 : v <= i}, the recurrence of _below_masks over the recorded
+    covers seeded at i*x^-1 instead of at i; so only failing bits are
+    visited, and one generator's preimage masks are alive at a time.
+    Failures are ordered by generator, then w, then u."""
+    sys = sub.system
     below = _below_masks(sys)
+    lower = _MASKS[sys][1]
+    length = sys.length
     checked = 0
     failures = []
     for g in sub.gens:
-        count, found = _transfer_failures(sys, g.elt.word, below)
-        checked += count
+        word = g.elt.word
+        col = _column(sys, word)
+        pairs = [(iw, iwx) for iw, iwx in enumerate(col) if length[iwx] == length[iw]]
+        if not pairs:
+            continue
+        # x^-1 is spelt by x's word reversed, every letter being an involution
+        pre = _down_closure(lower, _column(sys, reversed(word)))
+        bits = ["1" if length[j] <= length[u] else "0" for u, j in enumerate(col)]
+        shrink = int("".join(reversed(bits)), 2)
         gw = g.elt.word_string()
-        failures.extend(
-            (sys.element(iu).word_string(), sys.element(iw).word_string(), gw)
-            for iu, iw in found
-        )
+        for iw, iwx in pairs:
+            dominated = below[iw]
+            checked += dominated.bit_count()
+            rest = dominated & ~below[iwx]
+            if rest:
+                rest &= ~(shrink & pre[iwx])
+            while rest:
+                lsb = rest & -rest
+                rest ^= lsb
+                failures.append((
+                    sys.element(lsb.bit_length() - 1).word_string(),
+                    sys.element(iw).word_string(),
+                    gw,
+                ))
+        del pre  # before the next generator's masks are built
     return VerificationReport("equal-length-transfer", label, checked, tuple(failures))
 
 
@@ -601,9 +585,9 @@ _SUITES = {
     "dominated-minimal-search": lambda case, label, seed: (
         check_dominated_search(case.subgroup, label)),
     "ascent-implies-bruhat": lambda case, label, seed: (
-        check_lemma_long_gen(case.system, case.subgroup, label)),
+        check_lemma_long_gen(case.subgroup, label)),
     "equal-length-transfer": lambda case, label, seed: (
-        check_lemma_corr(case.system, case.subgroup, label)),
+        check_lemma_corr(case.subgroup, label)),
     "commuting-reflection-inversions": lambda case, label, seed: (
         check_lemma_commuting_reflections(case.system, label)),
     "bruhat-oracle-agreement": lambda case, label, seed: (

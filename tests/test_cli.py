@@ -195,6 +195,13 @@ def test_description_errors_exit_two(tmp_path, capsys):
     assert "bad matrix entry False" in capsys.readouterr().err
 
 
+def test_generator_names_is_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"type": "A2", "generator_names": ["a", "b"]}))
+    assert main(["cosets", str(path)]) == 2
+    assert "unknown keys: ['generator_names']" in capsys.readouterr().err
+
+
 def test_verify_config_errors_exit_two(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

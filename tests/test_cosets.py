@@ -350,7 +350,7 @@ def test_min_graph_dot_frozen(f4_sub):
 
 def test_min_graph_dot_identity_coset(f4_sub):
     a = ct.coset(f4_sub, f4_sub.system.identity)
-    assert ct.min_graph_dot(a, name="tiny") == 'graph tiny {\n  "e";\n}\n'
+    assert ct.min_graph_dot(a) == 'graph min_graph {\n  "e";\n}\n'
 
 
 def test_min_graph_dot_wide_rank_uses_spaced_words():

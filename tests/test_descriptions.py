@@ -59,7 +59,6 @@ def test_from_dict_minimal_document():
     assert d.L == (0, 1, 2)
     assert d.theta_pairs == ()
     assert d.cap == ct.DEFAULT_CAP
-    assert d.generator_names is None
 
 
 def test_from_dict_full_document():
@@ -69,14 +68,12 @@ def test_from_dict_full_document():
         "L": [1, 2, 3, 4],
         "theta": [[1, 3], [2, 4]],
         "cap": 500,
-        "generator_names": ["a", "b", "c", "d"],
     }
     d = GroupDescription.from_dict(doc)
     assert d.matrix == ct.product_matrix([ct.named_matrix("A2")] * 2)
     assert d.L == (0, 1, 2, 3)
     assert d.theta_pairs == ((0, 2), (1, 3))
     assert d.cap == 500
-    assert d.generator_names == ("a", "b", "c", "d")
 
 
 def test_from_dict_explicit_matrix_with_infinity_spellings():
@@ -115,8 +112,8 @@ def test_from_dict_rejections():
         {"type": "A2", "cap": 0},
         {"type": "A2", "cap": True},
         {"type": "A2", "cap": "many"},
-        {"type": "A2", "generator_names": ["a"]},    # wrong length
-        {"type": "A2", "generator_names": "ab"},     # not a list
+        {"type": "A2", "generator_names": ["a"]},    # unknown key
+        {"type": "A2", "generator_names": "ab"},     # unknown key
         {"matrix": "A2"},                            # matrix not a list
         {"matrix": [[1, "x"], ["x", 1]]},            # junk entry
         {"matrix": [[1, 3.5], [3.5, 1]]},            # float entry

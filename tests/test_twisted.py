@@ -1,5 +1,6 @@
 """Diagram automorphisms and their fixed subgroups."""
 
+import dataclasses
 import math
 from itertools import permutations
 
@@ -14,6 +15,7 @@ from coxtwist import (
     NotInWL,
     NotInvolutive,
     OutOfL,
+    TheoremViolation,
 )
 from conftest import a_system, dihedral
 
@@ -260,3 +262,13 @@ def test_twisted_reduced_word_rejects_outsiders(f4_sub):
         ct.twisted_reduced_word(f4_sub, f4_sub.system.gens()[0])
     with pytest.raises(NotFixed):
         ct.twisted_length(f4_sub, f4_sub.system.gens()[3])
+
+
+def test_a_stored_twisted_last_letter_that_is_not_a_descent_raises(f4_sub):
+    # a generator read as the other one steps up to x*y and back to x, so an
+    # unchecked chain never ends
+    last = list(f4_sub.last)
+    last[1] = 1 - last[1]
+    sub = dataclasses.replace(f4_sub, last=tuple(last))
+    with pytest.raises(TheoremViolation, match="of element 1 is not a right descent"):
+        ct.twisted_reduced_word(sub, sub.elements[1])

@@ -193,26 +193,28 @@ def test_lemma_suites_match_per_pair_reference(doc, words, checked, failed):
     if words is not None:
         sub = dataclasses.replace(sub, gens=words_as_generators(sys, words))
     corr, long = per_pair_lemma_reports(sys, sub)
-    report = verify.check_lemma_corr(sys, sub, "x")
+    report = verify.check_lemma_corr(sub, "x")
     assert (report.checked, list(report.failures)) == corr
     assert len(report.failures) == failed
     if checked is not None:
         assert report.checked == checked
-    report = verify.check_lemma_long_gen(sys, sub, "x")
+    report = verify.check_lemma_long_gen(sub, "x")
     assert (report.checked, list(report.failures)) == long
 
 
 @pytest.mark.parametrize("doc", [A5_SWAP, F4_SWAP, D4_SWAP], ids=["A5", "F4", "D4"])
 def test_preimage_masks_match_definition(doc):
-    # pre[i] = {u : u*word <= i}, read here bit by bit from the oracle masks
+    # pre[i] = {u : u*word <= i}, the recurrence over the oracle's covers
+    # seeded at i*word^-1, read here bit by bit from the oracle masks
     case = ct.GroupDescription.from_dict(doc).build()
     sys = case.system
     below = verify._below_masks(sys)
+    lower = verify._MASKS[sys][1]
     words = [g.elt.word for g in case.subgroup.gens]
     words += [[a - 1 for a in word] for word in MIXED_WORDS]
     for word in words:
         col = verify._column(sys, word)
-        pre = verify._preimage_masks(sys, word)
+        pre = verify._down_closure(lower, verify._column(sys, reversed(word)))
         for i, mask in enumerate(below):
             bits = bin(mask)[:1:-1].ljust(sys.size, "0")  # bits[u] is bit u
             expected = int("".join(bits[c] for c in col)[::-1], 2)
@@ -221,7 +223,7 @@ def test_preimage_masks_match_definition(doc):
 
 def test_equal_length_transfer_on_d6_swap():
     case = ct.GroupDescription.from_dict({"type": "D6", "theta": [[5, 6]]}).build()
-    report = verify.check_lemma_corr(case.system, case.subgroup, "D6 swap")
+    report = verify.check_lemma_corr(case.subgroup, "D6 swap")
     assert (report.checked, report.failures) == (41322172, ())
 
 
@@ -732,6 +734,6 @@ def test_individual_checks_on_a3():
     assert verify.check_minimal_chains(sub, "A3").ok
     assert verify.check_step_dichotomy(sub, "A3").ok
     assert verify.check_dominated_search(sub, "A3").ok
-    assert verify.check_lemma_long_gen(sys, sub, "A3").ok
-    assert verify.check_lemma_corr(sys, sub, "A3").ok
+    assert verify.check_lemma_long_gen(sub, "A3").ok
+    assert verify.check_lemma_corr(sub, "A3").ok
     assert verify.check_lemma_commuting_reflections(sys, "A3").ok
