@@ -159,12 +159,16 @@ class CoxeterSystem:
     @property
     def words(self) -> list[tuple[int, ...]]:
         """Canonical words by element index, each its parent's plus the
-        last letter: a new list on each access."""
+        last letter: a new list on each access.  A stored last letter that
+        is not a descent raises TheoremViolation, as in _chain."""
         table, last = self._table, self._last
         words = [()]
         for i in range(1, len(last)):
             s = last[i]
-            words.append(words[table[i][s]] + (s,))
+            p = table[i][s]
+            if p is None or p >= i:
+                raise _not_a_descent(s, i)
+            words.append(words[p] + (s,))
         return words
 
     @property
@@ -461,7 +465,8 @@ def bruhat_leq(u: Element, w: Element) -> bool:
     leaves the canonical word of w*s, so the comparison reads w's stored
     last letters up the table, one letter per step.  Both steps read the
     right-multiplication table and only ever shorten, so the comparison
-    stays inside a truncated ball and needs no inverse.
+    stays inside a truncated ball and needs no inverse.  A stored last
+    letter that is not a descent raises TheoremViolation, as in _chain.
     """
     _same_system(u, w)
     sys = u.system
@@ -473,7 +478,10 @@ def bruhat_leq(u: Element, w: Element) -> bool:
             return False
         lw -= 1
         s = last[iw]
-        iw = table[iw][s]
+        p = table[iw][s]
+        if p is None or p >= iw:
+            raise _not_a_descent(s, iw)
+        iw = p
         # a missing entry means u*s left the ball, hence is longer; indices
         # follow ShortLex order, so a smaller index is the shorter neighbour
         us = table[iu][s]

@@ -201,22 +201,24 @@ def test_words_and_inverses_are_read_up_the_table(ladder):
 
 def test_a_stored_last_letter_that_is_not_a_descent_raises():
     # s1's last letter read as s2 steps up to s1*s2 and back to s1, so an
-    # unchecked chain never ends
+    # unchecked chain never ends, bruhat_leq(e, s1) answers False and
+    # words indexes past its own list
     sys = a_system(3)
     sys._last[1] = 1
     message = "stored last letter s2 of element 1 is not a right descent"
-    with pytest.raises(TheoremViolation, match=message):
-        sys.element(1).word
-    with pytest.raises(TheoremViolation, match=message):
-        ct.inverse(sys.element(1))
+    for read in (lambda: sys.element(1).word, lambda: ct.inverse(sys.element(1)),
+                 lambda: ct.bruhat_leq(sys.identity, sys.element(1)), lambda: sys.words):
+        with pytest.raises(TheoremViolation, match=message):
+            read()
     # a step out of a truncated ball is no descent either
     sys = dihedral(INF, cap=10)
     deepest = sys.size - 1
     sys._last[deepest] = 1 - sys._last[deepest]
-    with pytest.raises(TheoremViolation, match=f"element {deepest} is not"):
-        sys.element(deepest).word
-    with pytest.raises(TheoremViolation, match=f"element {deepest} is not"):
-        ct.inverse(sys.element(deepest))
+    w = sys.element(deepest)
+    for read in (lambda: w.word, lambda: ct.inverse(w),
+                 lambda: ct.bruhat_leq(sys.identity, w), lambda: sys.words):
+        with pytest.raises(TheoremViolation, match=f"element {deepest} is not"):
+            read()
 
 
 def test_build_keeps_no_word_per_element():

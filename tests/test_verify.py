@@ -528,17 +528,78 @@ def test_failed_bruhat_ascent_is_detected(monkeypatch):
     case = ct.GroupDescription.from_dict(F4_SWAP).build()
     sys, sub = case.system, case.subgroup
     u = ct.coset(sub, sys.gens()[0]).min_set[-1].index
-    j, verdict = cosets._step(sys, u, sub.gens[1])
+    g = sub.gens[1]
+    j, verdict = cosets._step(sys, u, g)
     assert verdict is ct.StepVerdict.BRUHAT_UP
+    assert (sys.element(u).word_string(), g.elt.word_string()) == ("4", "2 3 2 3")
     bruhat_leq = core.bruhat_leq
 
     def broken(a, b):
         return (a.index, b.index) != (u, j) and bruhat_leq(a, b)
 
     monkeypatch.setattr(core, "bruhat_leq", broken)
-    report = verify.check_step_dichotomy(sub, "F4")
-    assert len(report.failures) == 14
-    assert list(report.failures) == replayed_step_failures(sub)
+    monkeypatch.setattr(ct.GroupDescription, "build", lambda self: case)
+    run = ct.run_suite({"cases": [F4_SWAP]})
+    # ascent-implies-bruhat owns the claim that a lengthening twisted step
+    # is a Bruhat ascent; the walk suites judge steps by the step rule and
+    # witnesses by the oracle masks, so they pass over the planted fault
+    assert {r.suite: r.failures for r in run.reports if r.failures} == {
+        "ascent-implies-bruhat": (("4", "2 3 2 3"),),
+    }
+    reports = {r.suite: r for r in run.reports}
+    assert reports["step-dichotomy"].checked == 3952
+    assert reports["dominated-minimal-search"].checked == 1152
+
+
+def plant_wrong_product(monkeypatch, target, wrong):
+    """Make twisted._times, in twisted and in cosets, answer ``wrong`` at
+    one (element index, generator) pair."""
+    times = twisted._times
+
+    def broken(system, i, g):
+        return wrong if (i, g) == target else times(system, i, g)
+
+    monkeypatch.setattr(twisted, "_times", broken)
+    monkeypatch.setattr(cosets, "_times", broken)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_wrong_twisted_product_is_detected(monkeypatch, k):
+    # s4 * y is planted as another member of its own coset, the coset of
+    # s1, so the partition's walk from s1 reaches some member twice
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys, sub = case.system, case.subgroup
+    u = sys.gens()[3].index
+    g = sub.gens[1]
+    right = twisted._times(sys, u, g)
+    members = sorted(ct.multiply(sys.gens()[0], z).index for z in sub.elements)
+    plant_wrong_product(monkeypatch, (u, g), [v for v in members if v != right][k])
+    monkeypatch.setattr(ct.GroupDescription, "build", lambda self: case)
+    run = ct.run_suite({"cases": [{**F4_SWAP, "suites": COSET_SUITES}]})
+    assert [r.suite for r in run.reports] == COSET_SUITES
+    for r in run.reports:
+        assert r.checked == 0
+        ((message,),) = r.failures
+        assert message.startswith("error: coset of '1' has ")
+        assert message.endswith(" distinct members, not 16")
+
+
+def test_wrong_twisted_product_inside_the_subgroup_is_detected(monkeypatch):
+    # e * y planted as the longest element, itself in H: the identity coset
+    # still has H's members, so only the tree walks, which reach the
+    # longest element twice from e, can see the fault
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys, sub = case.system, case.subgroup
+    g, w0 = sub.gens[1], sys.size - 1
+    assert sys.element(w0) in sub
+    plant_wrong_product(monkeypatch, (0, g), w0)
+    monkeypatch.setattr(ct.GroupDescription, "build", lambda self: case)
+    run = ct.run_suite({"cases": [F4_SWAP]})
+    reports = {r.suite: r for r in run.reports if r.failures}
+    assert set(reports) == {"step-dichotomy", "dominated-minimal-search"}
+    assert len(reports["step-dichotomy"].failures) == 7
+    assert {u for u, _ in reports["step-dichotomy"].failures} == {"e"}
+    assert len(reports["dominated-minimal-search"].failures) == 7
 
 
 def test_witness_outside_the_oracle_is_detected(monkeypatch):
