@@ -22,6 +22,13 @@ member really lies outside a truncated ball.  _step alone
 judges the steps of chains, escalations and dominations: from a minimal
 member, g keeps the length (even generators only) or lengthens.  _advance
 alone moves dominate's witness along with each step.
+
+dominate's state at a member, the walk's current member and its witness,
+is fixed by the member alone, so _carry carries it down the twisted-word
+tree from the coset's least minimal member once per coset, on the first
+dominate in that coset: one _advance per member.  The partition keeps that
+state, and every later dominate in the coset reads its path from it.
+dominated-minimal-search runs the same walk afresh.
 """
 from __future__ import annotations
 
@@ -34,6 +41,7 @@ from . import core
 from .core import Element
 from .errors import (
     CapExceeded,
+    CoxeterError,
     NotFixed,
     NotMinimal,
     NotSameCoset,
@@ -112,11 +120,14 @@ class _CosetPartition:
     indices follow ShortLex order, hence length, so the first nmin[c] of
     them are its minimal members; member i is r * elements[zpos[i]], r the
     coset's first touched member.  tree is the subgroup's twisted-word tree
-    when the partition was made.  The partition keeps no reference to its
-    subgroup, so it never closes a reference cycle through it.
+    when the partition was made.  cur and wit hold dominate's state of coset
+    c at [c*h:(c+1)*h], by tree node from the coset's base members[c*h]
+    (_carry); cur[c*h] is -1 until the first dominate in the coset.  The
+    partition keeps no reference to its subgroup, so it never closes a
+    reference cycle through it.
     """
 
-    __slots__ = ("system", "h", "tree", "cid", "zpos", "members", "nmin")
+    __slots__ = ("system", "h", "tree", "cid", "zpos", "members", "nmin", "cur", "wit")
 
     def __init__(self, sub: TwistedSubgroup):
         self.system = sub.system
@@ -126,6 +137,8 @@ class _CosetPartition:
         self.zpos = array("i", [-1]) * sub.system.size
         self.members = array("i")
         self.nmin = array("i")
+        self.cur = array("i")
+        self.wit = array("i")
 
     def coset_id(self, i: int) -> int:
         """Id of the coset of element index i, recording the coset if new.
@@ -165,6 +178,9 @@ class _CosetPartition:
         while k < self.h and length[found[k]] == low:
             k += 1
         self.nmin.append(k)
+        blank = array("i", [-1]) * self.h
+        self.cur += blank
+        self.wit += blank
         return c
 
     def min_length(self, c: int) -> int:
@@ -254,6 +270,27 @@ def _advance(
         f"no dominated replacement for witness {sys.element(witness).word_string()!r} "
         f"at {top.word_string()!r} after {g.elt.word_string()!r}"
     )
+
+
+def _carry(
+    sub: TwistedSubgroup, rows: list[tuple[int, int, TwistedGenerator]], base: int
+) -> tuple[array, array]:
+    """dominate's state at each node z of the twisted-word tree rows,
+    carried down from base by _advance: cur[z] is base * elements[z] and
+    wit[z] the witness dominate holds there, or cur[z] = -1 when a step on
+    the way to z failed."""
+    sys = sub.system
+    cur = [base] + [-1] * (sub.order - 1)
+    wit = cur[:]
+    for z, parent, g in rows:
+        i = cur[parent]
+        if i < 0:
+            continue
+        try:
+            cur[z], _, wit[z], _ = _advance(sys, i, wit[parent], g)
+        except CoxeterError:
+            pass
+    return array("i", cur), array("i", wit)
 
 
 def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
@@ -366,31 +403,45 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
     Walks the twisted word of base^-1 * x from the ShortLex-least minimal
     member.  Strict steps keep the current witness; equal-length steps
     replace it, when needed, by witness * generator, preferring the shorter
-    candidate and breaking ties by ShortLex.
+    candidate and breaking ties by ShortLex.  The walk's state is carried
+    down the whole twisted-word tree once per coset (_carry), on the first
+    dominate in the coset, at one step per member; each call reads the
+    steps of x's word from it.  A failed step is rerun to raise its error.
     """
     part, c = _locate(sub, x)
     if part.is_min_in(c, x):
         return DominationResult(target=x, base=x, witness=x, steps=())
     sys = x.system
-    base = Element(sys, part.members[c * part.h])
-    y = sub.elements[_quotient(sub, part.zpos[base.index], part.zpos[x.index])]
-    cur = base.index
-    witness = base
+    lo = c * part.h
+    base = Element(sys, part.members[lo])
+    cur, wit = part.cur, part.wit
+    if cur[lo] < 0:
+        cur[lo : lo + part.h], wit[lo : lo + part.h] = _carry(sub, part.tree, base.index)
+    z = _quotient(sub, part.zpos[base.index], part.zpos[x.index])
+    path = []
+    for a in core._chain(sub.table, sub.last, z):
+        path.append((lo + z, sub.gens[a]))
+        z = sub.table[z][a]
+    length = sys.length
     steps = []
-    for g in twisted_reduced_word(sub, y):
-        cur, verdict, w, replaced = _advance(sys, cur, witness.index, g)
-        if replaced:
-            witness = Element(sys, w)
+    p = lo
+    for k, g in reversed(path):
+        if cur[k] < 0:
+            _advance(sys, cur[p], wit[p], g)  # raises the failed step's error
         steps.append(
             DominationStep(
-                generator=g, prefix=Element(sys, cur), verdict=verdict,
-                witness=witness, replaced=replaced,
+                generator=g, prefix=Element(sys, cur[k]),
+                verdict=StepVerdict.EQUAL if length[cur[k]] == length[cur[p]]
+                else StepVerdict.BRUHAT_UP,
+                witness=Element(sys, wit[k]), replaced=wit[k] != wit[p],
             )
         )
-    if cur != x.index:
+        p = k
+    witness = Element(sys, wit[p])
+    if cur[p] != x.index:
         raise TheoremViolation(
             f"twisted word from {base.word_string()!r} ended at "
-            f"{sys.element(cur).word_string()!r}, not {x.word_string()!r}"
+            f"{sys.element(cur[p]).word_string()!r}, not {x.word_string()!r}"
         )
     if not part.is_min_in(c, witness) or not core.bruhat_leq(witness, x):
         raise TheoremViolation(

@@ -28,8 +28,10 @@ afresh from the table (twisted._word_tree), not from the partition's copy,
 so a corrupted table entry reaches every walk.  The words are
 prefix-closed, so each edge of the tree is one step of every word through
 it, judged once by the coset module's own step rules (cosets._step,
-cosets._advance).  minimal-chains follows only the steps that keep the
-length, so its walk from u visits only the minimal members it links u to.
+cosets._advance); dominated-minimal-search runs dominate's own walk
+(cosets._carry) afresh.  minimal-chains follows only the steps that keep
+the length, so its walk from u visits only the minimal members it links u
+to.
 Each Bruhat fact is judged once: only bruhat-oracle-agreement and
 ascent-implies-bruhat, which owns the Bruhat ascent of every lengthening
 twisted step, call core.bruhat_leq; witnesses are judged by the masks.
@@ -379,9 +381,12 @@ def check_fixed_subgroup_equality(sub: TwistedSubgroup, label: str = "") -> Veri
 
 def check_coset_partition(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """Cosets of the fixed subgroup tile the group without overlap, and each
-    reported coset equals rep * H recomputed by plain multiplication."""
+    reported coset equals r * H recomputed by plain multiplication, r the
+    member at tree position 0; each member j must sit at its recorded tree
+    position, r * elements[zpos[j]] = j."""
     sys = sub.system
     words = [z.word for z in sub.elements]  # each read up the table once
+    zpos = cosets._partition(sub).zpos
     seen: set[int] = set()
     checked = 0
     failures = []
@@ -389,10 +394,14 @@ def check_coset_partition(sub: TwistedSubgroup, label: str = "") -> Verification
         checked += 1
         rep = sys.element(members[0])
         got = list(members)
+        r = next((j for j in got if zpos[j] == 0), got[0])
+        at = [sys._walk(r, word) for word in words]
         if len(got) != sub.order:
             failures.append((rep.word_string(), "size"))
-        elif got != sorted(sys._walk(rep.index, word) for word in words):
+        elif got != sorted(at):
             failures.append((rep.word_string(), "members"))
+        elif any(at[zpos[j]] != j for j in got):
+            failures.append((rep.word_string(), "positions"))
         if seen.intersection(got):
             failures.append((rep.word_string(), "overlap"))
         seen.update(got)
@@ -504,43 +513,17 @@ def check_step_dichotomy(sub: TwistedSubgroup, label: str = "") -> VerificationR
     return VerificationReport("step-dichotomy", label, checked, tuple(failures))
 
 
-def _carried_witnesses(
-    sub: TwistedSubgroup, rows: list[tuple[int, int, twisted.TwistedGenerator]], base: int
-) -> dict[int, int | None]:
-    """Member -> the witness dominate's (cur, witness) state reaches there,
-    carried down the twisted-word tree from the coset's base by
-    cosets._advance; None for a member the walk reaches more than once.  A
-    member is absent when the walk misses it, as when a step on the way to
-    it fails."""
-    sys = sub.system
-    advance = cosets._advance
-    cur = [base] + [-1] * (len(sub.elements) - 1)  # -1: a step on the way to z failed
-    wit = cur[:]
-    for z, parent, g in rows:
-        i = cur[parent]
-        if i < 0:
-            continue
-        try:
-            cur[z], _, wit[z], _ = advance(sys, i, wit[parent], g)
-        except CoxeterError:
-            pass
-    out: dict[int, int | None] = {}
-    for z, j in enumerate(cur):
-        if j >= 0:
-            out[j] = None if j in out else wit[z]
-    return out
-
-
 def check_dominated_search(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """The constructive dominated-minimal witness matches exhaustive search.
 
-    Each coset carries dominate's state down the twisted-word tree once
-    (_carried_witnesses), so the witness of base * z is the one dominate
-    builds along z's word.  A minimal member is its own witness.  Any other
-    member fails its construction when a step on the way to it fails, when
-    the walk reaches it more than once or not at all, or when its witness is
-    not a minimal member; a minimal witness fails when the oracle mask does
-    not place it below the member.
+    Each coset runs dominate's own walk (cosets._carry) afresh down the
+    twisted-word tree from its base, not the partition's carried copy, so
+    the witness of base * z is the one dominate builds along z's word.  A
+    minimal member is its own witness.  Any other member fails its
+    construction when a step on the way to it fails, when the walk reaches
+    it more than once or not at all, or when its witness is not a minimal
+    member; a minimal witness fails when the oracle mask does not place it
+    below the member.
     """
     sys = sub.system
     below = _below_masks(sys)
@@ -548,7 +531,11 @@ def check_dominated_search(sub: TwistedSubgroup, label: str = "") -> Verificatio
     checked = 0
     failures = []
     for members, nmin in cosets._cosets(sub):
-        witnesses = _carried_witnesses(sub, rows, members[0])
+        cur, wit = cosets._carry(sub, rows, members[0])
+        witnesses: dict[int, int | None] = {}  # None: reached more than once
+        for j, w in zip(cur, wit):
+            if j >= 0:
+                witnesses[j] = None if j in witnesses else w
         mins = set(members[:nmin])
         for k, x in enumerate(members):
             checked += 1

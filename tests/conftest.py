@@ -1,7 +1,7 @@
 import pytest
 
 import coxtwist as ct
-from coxtwist import verify
+from coxtwist import core, cosets, twisted, verify
 
 F4_MATRIX = ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1))
 A3_MATRIX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
@@ -110,3 +110,47 @@ def flipped_oracle(monkeypatch):
         ]
 
     monkeypatch.setattr(verify, "_below_masks", flipped)
+
+
+def replayed_dominate(sub, x):
+    """dominate by its definition, one step at a time: the twisted word of
+    base^-1 * x walked from the coset's least minimal member, with one
+    cosets._advance per step.  Reads the partition's members and tree
+    positions, never its carried walk."""
+    part, c = cosets._locate(sub, x)
+    if part.is_min_in(c, x):
+        return ct.DominationResult(target=x, base=x, witness=x, steps=())
+    sys = x.system
+    base = sys.element(part.members[c * part.h])
+    y = sub.elements[twisted._quotient(sub, part.zpos[base.index], part.zpos[x.index])]
+    i, witness, steps = base.index, base, []
+    for g in ct.twisted_reduced_word(sub, y):
+        i, verdict, w, replaced = cosets._advance(sys, i, witness.index, g)
+        witness = sys.element(w)
+        steps.append(cosets.DominationStep(
+            generator=g, prefix=sys.element(i), verdict=verdict,
+            witness=witness, replaced=replaced,
+        ))
+    if i != x.index:
+        raise ct.TheoremViolation(
+            f"twisted word from {base.word_string()!r} ended at "
+            f"{sys.element(i).word_string()!r}, not {x.word_string()!r}"
+        )
+    if not part.is_min_in(c, witness) or not core.bruhat_leq(witness, x):
+        raise ct.TheoremViolation(
+            f"constructed witness {witness.word_string()!r} fails the contract "
+            f"for {x.word_string()!r}"
+        )
+    return ct.DominationResult(target=x, base=base, witness=witness, steps=tuple(steps))
+
+
+def plant_step_failure(monkeypatch, target):
+    """Make cosets._step raise at one (element index, generator) pair."""
+    step = cosets._step
+
+    def broken(system, i, g):
+        if (i, g) == target:
+            raise ct.TheoremViolation("planted")
+        return step(system, i, g)
+
+    monkeypatch.setattr(cosets, "_step", broken)

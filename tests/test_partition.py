@@ -8,7 +8,7 @@ import pytest
 
 import coxtwist as ct
 from coxtwist import cosets, verify
-from conftest import down_set
+from conftest import down_set, plant_step_failure, replayed_dominate
 
 F4_SWAP = {"type": "F4", "theta": [[1, 4], [2, 3]]}
 CASES = [
@@ -257,3 +257,53 @@ def test_oracle_masks_hold_no_reference_cycle():
         assert len(verify._MASKS) == cached
     finally:
         gc.enable()
+
+
+def outcome(dominate, sub, x):
+    """dominate's result, or the type and message of its refusal."""
+    try:
+        return dominate(sub, x)
+    except ct.CoxeterError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("doc, answered", [
+    ({"type": "A5", "theta": [[1, 5], [2, 4]]}, 720),
+    (F4_SWAP, 1152),
+    ({"type": "D5", "theta": [[4, 5]]}, 1920),
+    (HYPERBOLIC_534, 1326),
+], ids=["A5", "F4", "D5", "5-3-4"])
+def test_dominate_equals_its_step_by_step_replay(doc, answered):
+    # dominate reads each coset's walk, carried on the coset's first
+    # dominate; the replay walks x's own word, every field must agree
+    case = build(doc)
+    sub = case.subgroup
+    results = [
+        (outcome(ct.dominate, sub, x), outcome(replayed_dominate, sub, x))
+        for x in shuffled(case.system)
+    ]
+    assert all(got == replayed for got, replayed in results)
+    assert sum(isinstance(got, ct.DominationResult) for got, _ in results) == answered
+
+
+def test_dominate_refuses_exactly_past_a_planted_step_failure(monkeypatch):
+    case = build(F4_SWAP)
+    sys, sub = case.system, case.subgroup
+    a = ct.coset(sub, sys.gens()[0])
+    u, g = a.min_set[-1], sub.gens[1]
+    before = {x: replayed_dominate(sub, x) for x in a.members}
+    part = cosets._partition(sub)
+    assert part.cur[part.cid[u.index] * part.h] == -1  # not yet carried
+    plant_step_failure(monkeypatch, (u.index, g))
+    crossing = 0
+    for x in a.members:
+        prefixes = [before[x].base] + [step.prefix for step in before[x].steps]
+        steps = zip(prefixes, before[x].steps)
+        if any(p == u and step.generator == g for p, step in steps):
+            crossing += 1
+            assert outcome(ct.dominate, sub, x) == outcome(replayed_dominate, sub, x) == (
+                ct.TheoremViolation, "planted",
+            )
+        else:
+            assert ct.dominate(sub, x) == before[x]
+    assert 0 < crossing < len(a.members) - len(a.min_set)

@@ -9,7 +9,9 @@ import pytest
 
 import coxtwist as ct
 from coxtwist import core, cosets, twisted, verify
-from conftest import a_system, dihedral, reflection_closure
+from conftest import (
+    a_system, dihedral, plant_step_failure, reflection_closure, replayed_dominate,
+)
 
 import permutation_models as pm
 
@@ -443,14 +445,15 @@ def replayed_step_failures(sub):
 
 
 def replayed_dominate_failures(sub):
-    """dominated-minimal-search's failures by one dominate per member."""
+    """dominated-minimal-search's failures by one step-by-step replay of
+    dominate per member."""
     below = verify._below_masks(sub.system)
     failures = []
     for a in ct.all_cosets(sub):
         for x in a.members:
             exhaustive = {v.index for v in a.min_set if (below[x.index] >> v.index) & 1}
             try:
-                w = ct.dominated_minimal(sub, x)
+                w = replayed_dominate(sub, x).witness
             except ct.CoxeterError:
                 failures.append((x.word_string(), "construction"))
                 continue
@@ -473,18 +476,6 @@ def replayed_chain_failures(sub):
                 except ct.CoxeterError:
                     failures.append((u.word_string(), v.word_string()))
     return failures
-
-
-def plant_step_failure(monkeypatch, target):
-    """Make cosets._step raise at one (element index, generator) pair."""
-    step = cosets._step
-
-    def broken(system, i, g):
-        if (i, g) == target:
-            raise ct.TheoremViolation("planted")
-        return step(system, i, g)
-
-    monkeypatch.setattr(cosets, "_step", broken)
 
 
 def test_tree_walks_fail_like_per_pair_replays(monkeypatch):
@@ -587,7 +578,8 @@ def test_wrong_twisted_product_is_detected(monkeypatch, k):
 def test_wrong_twisted_product_inside_the_subgroup_is_detected(monkeypatch):
     # e * y planted as the longest element, itself in H: the identity coset
     # still has H's members, so only the tree walks, which reach the
-    # longest element twice from e, can see the fault
+    # longest element twice from e, and coset-partition's check of the
+    # recorded tree positions can see the fault
     case = ct.GroupDescription.from_dict(F4_SWAP).build()
     sys, sub = case.system, case.subgroup
     g, w0 = sub.gens[1], sys.size - 1
@@ -596,7 +588,8 @@ def test_wrong_twisted_product_inside_the_subgroup_is_detected(monkeypatch):
     monkeypatch.setattr(ct.GroupDescription, "build", lambda self: case)
     run = ct.run_suite({"cases": [F4_SWAP]})
     reports = {r.suite: r for r in run.reports if r.failures}
-    assert set(reports) == {"step-dichotomy", "dominated-minimal-search"}
+    assert set(reports) == {"coset-partition", "step-dichotomy", "dominated-minimal-search"}
+    assert reports["coset-partition"].failures == (("e", "positions"),)
     assert len(reports["step-dichotomy"].failures) == 7
     assert {u for u, _ in reports["step-dichotomy"].failures} == {"e"}
     assert len(reports["dominated-minimal-search"].failures) == 7
@@ -651,9 +644,11 @@ def test_carried_witness_is_dominates_witness(doc, count):
     rows = twisted._word_tree(sub)
     compared = 0
     for a in ct.all_cosets(sub):
-        witnesses = verify._carried_witnesses(sub, rows, a.rep.index)
+        cur, wit = cosets._carry(sub, rows, a.rep.index)
+        assert sorted(cur) == [w.index for w in a.members]
+        witnesses = dict(zip(cur, wit))
         for x in a.members[len(a.min_set):]:
-            assert witnesses[x.index] == ct.dominate(sub, x).witness.index
+            assert witnesses[x.index] == replayed_dominate(sub, x).witness.index
             compared += 1
     assert compared == count
 
