@@ -158,18 +158,9 @@ class CoxeterSystem:
 
     @property
     def words(self) -> list[tuple[int, ...]]:
-        """Canonical words by element index, each its parent's plus the
-        last letter: a new list on each access.  A stored last letter that
-        is not a descent raises TheoremViolation, as in _chain."""
-        table, last = self._table, self._last
-        words = [()]
-        for i in range(1, len(last)):
-            s = last[i]
-            p = table[i][s]
-            if p is None or p >= i:
-                raise _not_a_descent(s, i)
-            words.append(words[p] + (s,))
-        return words
+        """Canonical words by element index, each read by _chain as
+        Element.word reads it: a new list on each access."""
+        return [Element(self, i).word for i in range(len(self._last))]
 
     @property
     def identity(self) -> Element:
@@ -179,7 +170,15 @@ class CoxeterSystem:
         return Element(self, index)
 
     def gens(self) -> tuple[Element, ...]:
-        return tuple(Element(self, self._table[0][s]) for s in range(self.rank))
+        """The generators; one that the cap left out of the ball raises
+        OutOfEnumeratedRegion."""
+        row = self._table[0]
+        if None in row:
+            raise OutOfEnumeratedRegion(
+                f"generator s{row.index(None) + 1} lies outside the enumerated ball "
+                f"of {self.size} elements"
+            )
+        return tuple(Element(self, j) for j in row)
 
     def m(self, s: int, t: int):
         return self.matrix[s][t]
@@ -518,32 +517,24 @@ def parabolic_decompose(w: Element, J: Iterable[int]) -> tuple[Element, Element]
 
 
 def longest_element(sys: CoxeterSystem, J: Iterable[int]) -> Element:
-    """Longest element of the standard parabolic W_J, if it is finite."""
+    """Longest element of the standard parabolic W_J, if it is finite: the
+    last member of its closure by enumerate_ball, which lists members in
+    ShortLex order."""
     J = sorted(set(J))
     for s in J:
         if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < sys.rank:
             raise ValueError(f"J member {s!r} is not a generator index")
-    table = sys._table
-    seen = {0}
-    queue = [0]
-    for i in queue:
-        for s in J:
-            j = table[i][s]
-            if j is None:
-                raise InfiniteParabolic(
-                    "parabolic subgroup does not close within the enumerated region"
-                )
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    length = sys.length
-    best = max(seen, key=length.__getitem__)
-    top_len = length[best]
-    if sum(1 for i in seen if length[i] == top_len) != 1:
+    row = sys._table[0]
+    complete = all(row[s] is not None for s in J)
+    if complete:
+        members, complete = enumerate_ball(sys, [Element(sys, row[s]) for s in J])
+    if not complete:
+        raise InfiniteParabolic("parabolic subgroup does not close within the enumerated region")
+    if len(members) > 1 and members[-2].length == members[-1].length:
         raise TheoremViolation(
             f"parabolic on {[s + 1 for s in J]} has no unique longest element"
         )
-    return Element(sys, best)
+    return members[-1]
 
 
 def enumerate_ball(sys: CoxeterSystem, gens: Iterable[Element]) -> tuple[tuple[Element, ...], bool]:

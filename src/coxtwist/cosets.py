@@ -335,10 +335,10 @@ def all_cosets(sub: TwistedSubgroup) -> list[CosetAnalysis]:
 
 
 def connect_minimals(sub: TwistedSubgroup, u: Element, v: Element) -> list[Element]:
-    """Chain of minimal coset members from u to v along twisted generators.
-
-    Every link multiplies by one twisted generator and stays inside the
-    minimal set at constant length.
+    """Chain of minimal coset members from u to v along twisted generators:
+    the prefixes of the escalation trace of u^-1 * v from u, every step of
+    which must keep the length (EQUAL), so that each link multiplies by one
+    twisted generator and stays inside the minimal set.
     """
     part, c = _locate(sub, u)
     if _locate(sub, v)[1] != c:
@@ -349,18 +349,15 @@ def connect_minimals(sub: TwistedSubgroup, u: Element, v: Element) -> list[Eleme
         if not part.is_min_in(c, w):
             raise NotMinimal(f"{w.word_string()!r} is not minimal in its coset")
     y = sub.elements[_quotient(sub, part.zpos[u.index], part.zpos[v.index])]
-    sys = sub.system
-    chain = [u]
-    i = u.index
-    for g in twisted_reduced_word(sub, y):
-        i, verdict = _step(sys, i, g)
+    trace = escalation_trace(sub, u, y)
+    chain = list(trace.prefixes)
+    for verdict, w in zip(trace.steps, chain[1:]):
         if verdict is not StepVerdict.EQUAL:
             raise TheoremViolation(
                 f"chain from {u.word_string()!r} to {v.word_string()!r} left the "
-                f"minimal set at {sys.element(i).word_string()!r}"
+                f"minimal set at {w.word_string()!r}"
             )
-        chain.append(Element(sys, i))
-    if i != v.index:
+    if chain[-1] != v:
         raise TheoremViolation(
             f"chain from {u.word_string()!r} ended at {chain[-1].word_string()!r}, "
             f"not {v.word_string()!r}"

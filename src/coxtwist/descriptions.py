@@ -123,6 +123,7 @@ class GroupDescription:
                 raise DescriptionError("'type' must be a name or a list of names")
         else:
             matrix = _parse_matrix(doc["matrix"])
+        matrix = core._validate_matrix(matrix)
         n = len(matrix)
 
         raw_L = doc.get("L")
@@ -143,15 +144,20 @@ class GroupDescription:
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
             raise DescriptionError("cap must be a positive integer")
 
-        return GroupDescription(matrix=matrix, L=L, theta_pairs=tuple(pairs), cap=cap)
+        desc = GroupDescription(matrix=matrix, L=L, theta_pairs=tuple(pairs), cap=cap)
+        twisted._checked_map(matrix, L, desc._mapping())
+        return desc
 
-    def build(self) -> "RealizedCase":
-        system = core.build_system(self.matrix, cap=self.cap)
+    def _mapping(self) -> dict[int, int]:
         mapping = {}
         for a, b in self.theta_pairs:
             mapping[a] = b
             mapping[b] = a
-        theta = twisted.validate_automorphism(system, self.L, mapping)
+        return mapping
+
+    def build(self) -> "RealizedCase":
+        system = core.build_system(self.matrix, cap=self.cap)
+        theta = twisted.validate_automorphism(system, self.L, self._mapping())
         sub = twisted.enumerate_fixed_subgroup(theta)
         return RealizedCase(description=self, system=system, theta=theta, subgroup=sub)
 

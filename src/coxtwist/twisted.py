@@ -156,9 +156,18 @@ def _word_tree(sub: TwistedSubgroup) -> list[tuple[int, int, TwistedGenerator]]:
 
 def validate_automorphism(sys: CoxeterSystem, L: Iterable[int], mapping: Mapping[int, int]) -> DiagramAutomorphism:
     """Check involutivity and bond preservation; unlisted members of L are fixed."""
+    L, full = _checked_map(sys.matrix, L, mapping)
+    return DiagramAutomorphism(system=sys, L=L, mapping=full)
+
+
+def _checked_map(matrix, L: Iterable[int], mapping: Mapping[int, int]) -> tuple[frozenset[int], dict[int, int]]:
+    """(L, the map completed on L) after validate_automorphism's checks.
+    They read the bond matrix alone, so a description is checked before its
+    group is built."""
     L = frozenset(L)
+    n = len(matrix)
     for s in L:
-        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < sys.rank:
+        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < n:
             raise OutOfL(f"L member {s!r} is not a generator index")
     full = {}
     for a, b in mapping.items():
@@ -174,12 +183,12 @@ def validate_automorphism(sys: CoxeterSystem, L: Iterable[int], mapping: Mapping
             raise NotInvolutive(f"map is not an involution at generator {a + 1}")
     for a in L:
         for b in L:
-            if sys.m(a, b) != sys.m(full[a], full[b]):
+            if matrix[a][b] != matrix[full[a]][full[b]]:
                 raise BondMismatch(
-                    f"m({a + 1},{b + 1}) = {sys.m(a, b)} but the images have "
-                    f"m({full[a] + 1},{full[b] + 1}) = {sys.m(full[a], full[b])}"
+                    f"m({a + 1},{b + 1}) = {matrix[a][b]} but the images have "
+                    f"m({full[a] + 1},{full[b] + 1}) = {matrix[full[a]][full[b]]}"
                 )
-    return DiagramAutomorphism(system=sys, L=L, mapping=dict(full))
+    return L, full
 
 
 def orbits(theta: DiagramAutomorphism) -> tuple[tuple[int, ...], ...]:

@@ -600,8 +600,9 @@ def default_config() -> dict:
 def run_suite(config: dict | None = None) -> VerificationRun:
     """Run the configured suites over the configured systems.
 
-    The config and every case are checked before any case is built, so a
-    config problem raises DescriptionError before any work; suite errors
+    The config and every case, with its bond matrix and theta, are checked
+    before any case is built, so a config problem raises DescriptionError,
+    MalformedMatrix or an AutomorphismError before any work; suite errors
     become failure records.
     """
     if config is None:

@@ -621,6 +621,17 @@ def test_longest_element_infinite_parabolic():
         ct.longest_element(sys, (9,))
 
 
+def test_a_generator_outside_the_ball_is_refused():
+    # A3 at cap 2 holds e and s1 only; gens() once returned Element(sys,
+    # None) for s2 and s3, which read as the identity
+    sys = a_system(4, cap=2)
+    with pytest.raises(OutOfEnumeratedRegion, match="generator s2"):
+        sys.gens()
+    with pytest.raises(InfiniteParabolic):
+        ct.longest_element(sys, [1])
+    assert ct.longest_element(sys, [0]).word == (0,)
+
+
 # -- balls and truncation ----------------------------------------------------
 
 

@@ -150,7 +150,6 @@ def test_build_with_restricted_L():
     assert words == ["1 3", "e"]
 
 
-def test_invalid_theta_surfaces_at_build():
-    desc = GroupDescription.from_dict({"type": "B3", "theta": [[1, 3]]})
+def test_invalid_theta_surfaces_at_from_dict():
     with pytest.raises(ct.BondMismatch):
-        desc.build()
+        GroupDescription.from_dict({"type": "B3", "theta": [[1, 3]]})

@@ -712,6 +712,27 @@ def test_config_is_checked_before_any_case_is_built(monkeypatch):
     assert built == []
 
 
+BAD_LATER_CASES = {
+    "bond": ({"type": "A3", "theta": [[1, 2]]}, ct.BondMismatch),
+    "not an involution": ({"type": "A3", "theta": [[1, 2], [2, 3]]}, ct.NotInvolutive),
+    "outside L": ({"type": "A3", "L": [1, 2], "theta": [[1, 3]]}, ct.OutOfL),
+    "asymmetric": ({"matrix": [[1, 3], [2, 1]]}, ct.MalformedMatrix),
+    "diagonal": ({"matrix": [[2, 3], [3, 1]]}, ct.MalformedMatrix),
+    "bond 1": ({"matrix": [[1, 1], [1, 1]]}, ct.MalformedMatrix),
+    "ragged": ({"matrix": [[1, 3], [3]]}, ct.MalformedMatrix),
+}
+
+
+@pytest.mark.parametrize("case, error", BAD_LATER_CASES.values(), ids=BAD_LATER_CASES)
+def test_a_bad_later_case_is_refused_before_any_case_is_built(monkeypatch, case, error):
+    # the matrix and theta are checked with the rest of the description
+    built = []
+    monkeypatch.setattr(ct.GroupDescription, "build", lambda self: built.append(self))
+    with pytest.raises(error):
+        ct.run_suite({"cases": [F4_SWAP, case]})
+    assert built == []
+
+
 MALFORMED_CONFIGS = {
     "list seed": {"seed": [1], "cases": [F4_SWAP]},
     "str seed": {"seed": "5", "cases": [F4_SWAP]},
