@@ -2,9 +2,9 @@
 
 Commands read a JSON group description (see descriptions.py for the
 schema) and print deterministic text.  Exit codes: 0 success, 1
-verification failures or a reader that closed stdout early, 2 parse or
-validation errors, 3 cap or enumeration region errors, 4 malformed element
-words.
+verification failures or suite errors, or a reader that closed stdout
+early, 2 parse or validation errors, 3 cap or enumeration region errors, 4
+malformed element words.
 """
 from __future__ import annotations
 

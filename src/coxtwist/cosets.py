@@ -10,9 +10,10 @@ Coset facts are computed once per subgroup: the first question about any
 member u of a coset walks u down the twisted-word tree of the subgroup
 (u * z = (u * parent) * g on each row) and records the sorted members in a
 partition shared by every later call (coset, min_set, is_minimal,
-connect_minimals, escalation_trace, dominate, all_cosets), with each
-member's tree position, so the quotient u^-1 * v of two members is a walk
-in the subgroup's table (twisted._quotient), never a walk in W.
+connect_minimals, escalation_trace, dominate, all_cosets), numbered from
+its base b, the least member: b * z sits at tree node z whatever member
+touched the coset first, so the quotient u^-1 * v of two members is a
+walk in the subgroup's table (twisted._quotient), never a walk in W.
 
 Every product of a member w by a twisted generator g is walked as
 p * (q * g) by twisted._times, where w = p * q splits off the part q of w
@@ -23,11 +24,11 @@ judges the steps of chains, escalations and dominations: from a minimal
 member, g keeps the length (even generators only) or lengthens.  _advance
 alone moves dominate's witness along with each step.
 
-dominate's state at a member, the walk's current member and its witness,
-is fixed by the member alone, so _carry carries it down the twisted-word
-tree from the coset's least minimal member once per coset, on the first
-dominate in that coset: one _advance per member.  The partition keeps that
-state, and every later dominate in the coset reads its path from it.
+dominate's witness at a member is fixed by the member alone, so _carry
+carries it down the twisted-word tree from the coset's base once per
+coset, on the first dominate in that coset: one _advance per member.  The
+partition keeps the witnesses beside the members, and every later dominate
+in the coset reads its path from them.
 dominated-minimal-search runs the same walk afresh.
 """
 from __future__ import annotations
@@ -118,26 +119,27 @@ class _CosetPartition:
     cid[i] is the coset id of element index i, or -1 while its coset is
     untouched.  Coset c's member indices sit sorted at members[c*h:(c+1)*h];
     indices follow ShortLex order, hence length, so the first nmin[c] of
-    them are its minimal members; member i is r * elements[zpos[i]], r the
-    coset's first touched member.  tree is the subgroup's twisted-word tree
-    when the partition was made.  cur and wit hold dominate's state of coset
-    c at [c*h:(c+1)*h], by tree node from the coset's base members[c*h]
-    (_carry); cur[c*h] is -1 until the first dominate in the coset.  The
+    them are its minimal members.  Nodes count from the base b = members[c*h]:
+    at[c*h + z] is b * elements[z] and j = b * elements[zpos[j]].  tree,
+    table and last are the subgroup's when the partition was made.
+    wit[c*h + z] is dominate's witness at node z (_carry), -1 past a failed
+    step; wit[c*h] is -1 until the first dominate in the coset.  The
     partition keeps no reference to its subgroup, so it never closes a
     reference cycle through it.
     """
 
-    __slots__ = ("system", "h", "tree", "cid", "zpos", "members", "nmin", "cur", "wit")
+    __slots__ = ("system", "h", "tree", "table", "last", "cid", "zpos", "members", "nmin", "at", "wit")
 
     def __init__(self, sub: TwistedSubgroup):
         self.system = sub.system
         self.h = sub.order
         self.tree = _word_tree(sub)
+        self.table, self.last = sub.table, sub.last
         self.cid = array("i", [-1]) * sub.system.size
         self.zpos = array("i", [-1]) * sub.system.size
         self.members = array("i")
         self.nmin = array("i")
-        self.cur = array("i")
+        self.at = array("i")
         self.wit = array("i")
 
     def coset_id(self, i: int) -> int:
@@ -145,7 +147,8 @@ class _CosetPartition:
 
         i * z is filled down the twisted-word tree, (i * parent) * g on each
         row, one _times per member; a member outside the enumerated ball
-        raises OutOfEnumeratedRegion before anything is recorded.
+        raises OutOfEnumeratedRegion before anything is recorded.  The base
+        b = i * z_b then renumbers node z to b * z = i * (z_b * z).
         """
         c = self.cid[i]
         if c >= 0:
@@ -167,20 +170,25 @@ class _CosetPartition:
                     f"coset of {sys.element(i).word_string()!r} overlaps the coset "
                     f"of {sys.element(self.members[cid[j] * self.h]).word_string()!r}"
                 )
+        zb = at.index(found[0])
+        if zb:
+            node, table, last = [zb] * self.h, self.table, self.last
+            for z, parent, _ in self.tree:
+                node[z] = table[node[parent]][last[z]]
+            at = [at[k] for k in node]
         c = len(self.nmin)
         for z, j in enumerate(at):
             cid[j] = c
             self.zpos[j] = z
         self.members.extend(found)
+        self.at.extend(at)
         length = sys.length
         low = length[found[0]]
         k = 1
         while k < self.h and length[found[k]] == low:
             k += 1
         self.nmin.append(k)
-        blank = array("i", [-1]) * self.h
-        self.cur += blank
-        self.wit += blank
+        self.wit += array("i", [-1]) * self.h
         return c
 
     def min_length(self, c: int) -> int:
@@ -275,9 +283,9 @@ def _advance(
 def _carry(
     sub: TwistedSubgroup, rows: list[tuple[int, int, TwistedGenerator]], base: int
 ) -> tuple[array, array]:
-    """dominate's state at each node z of the twisted-word tree rows,
+    """dominate's walk at each node z of the twisted-word tree rows,
     carried down from base by _advance: cur[z] is base * elements[z] and
-    wit[z] the witness dominate holds there, or cur[z] = -1 when a step on
+    wit[z] the witness dominate holds there, or both are -1 when a step on
     the way to z failed."""
     sys = sub.system
     cur = [base] + [-1] * (sub.order - 1)
@@ -302,10 +310,8 @@ def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
     mins = members[: part.nmin[c]]
     edges = []
     for w in mins:
-        for g in sub.gens:
-            # w*g is a member of this recorded coset, so the walk stays in
-            # the ball
-            v = Element(sys, _times(sys, w.index, g))
+        for a, g in enumerate(sub.gens):
+            v = Element(sys, part.at[lo + sub.table[part.zpos[w.index]][a]])
             if part.is_min_in(c, v) and w.index < v.index:
                 edges.append((w, v, g))
     edges.sort(key=lambda e: (e[0].index, e[1].index))
@@ -397,13 +403,13 @@ def escalation_trace(sub: TwistedSubgroup, u: Element, z: Element) -> Escalation
 def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
     """Construct a minimal coset member below x in the Bruhat order.
 
-    Walks the twisted word of base^-1 * x from the ShortLex-least minimal
-    member.  Strict steps keep the current witness; equal-length steps
-    replace it, when needed, by witness * generator, preferring the shorter
-    candidate and breaking ties by ShortLex.  The walk's state is carried
-    down the whole twisted-word tree once per coset (_carry), on the first
-    dominate in the coset, at one step per member; each call reads the
-    steps of x's word from it.  A failed step is rerun to raise its error.
+    Walks the twisted word of x's tree node from the base, the least
+    minimal member.  Strict steps keep the current witness; equal-length
+    steps replace it, when needed, by witness * generator, preferring the
+    shorter candidate and breaking ties by ShortLex.  The witnesses are
+    carried down the whole twisted-word tree once per coset (_carry), on the
+    first dominate in the coset, at one step per member; each call reads
+    the steps of x's word from them.  A failed step is rerun to raise it.
     """
     part, c = _locate(sub, x)
     if part.is_min_in(c, x):
@@ -411,10 +417,10 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
     sys = x.system
     lo = c * part.h
     base = Element(sys, part.members[lo])
-    cur, wit = part.cur, part.wit
-    if cur[lo] < 0:
-        cur[lo : lo + part.h], wit[lo : lo + part.h] = _carry(sub, part.tree, base.index)
-    z = _quotient(sub, part.zpos[base.index], part.zpos[x.index])
+    at, wit = part.at, part.wit
+    if wit[lo] < 0:
+        wit[lo : lo + part.h] = _carry(sub, part.tree, base.index)[1]
+    z = part.zpos[x.index]
     path = []
     for a in core._chain(sub.table, sub.last, z):
         path.append((lo + z, sub.gens[a]))
@@ -423,23 +429,18 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
     steps = []
     p = lo
     for k, g in reversed(path):
-        if cur[k] < 0:
-            _advance(sys, cur[p], wit[p], g)  # raises the failed step's error
+        if wit[k] < 0:
+            _advance(sys, at[p], wit[p], g)  # raises the failed step's error
         steps.append(
             DominationStep(
-                generator=g, prefix=Element(sys, cur[k]),
-                verdict=StepVerdict.EQUAL if length[cur[k]] == length[cur[p]]
+                generator=g, prefix=Element(sys, at[k]),
+                verdict=StepVerdict.EQUAL if length[at[k]] == length[at[p]]
                 else StepVerdict.BRUHAT_UP,
                 witness=Element(sys, wit[k]), replaced=wit[k] != wit[p],
             )
         )
         p = k
     witness = Element(sys, wit[p])
-    if cur[p] != x.index:
-        raise TheoremViolation(
-            f"twisted word from {base.word_string()!r} ended at "
-            f"{sys.element(cur[p]).word_string()!r}, not {x.word_string()!r}"
-        )
     if not part.is_min_in(c, witness) or not core.bruhat_leq(witness, x):
         raise TheoremViolation(
             f"constructed witness {witness.word_string()!r} fails the contract "

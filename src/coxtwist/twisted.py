@@ -135,8 +135,6 @@ class TwistedSubgroup:
 def _quotient(sub: TwistedSubgroup, x: int, y: int) -> int:
     """Position of elements[x]^-1 * elements[y], walked in the table; the
     twisted generators are involutions, so x's chain spells its inverse."""
-    if not x:  # the identity, as for a coset first touched at its base
-        return y
     table, last = sub.table, sub.last
     p = 0
     for g in core._chain(table, last, x) + core._chain(table, last, y)[::-1]:

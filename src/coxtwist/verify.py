@@ -54,7 +54,7 @@ from .core import CoxeterSystem, Element
 from .cosets import StepVerdict, TwistedSubgroup
 from .descriptions import GroupDescription
 from .errors import (
-    CapExceeded, CoxeterError, DescriptionError, OutOfEnumeratedRegion, TheoremViolation,
+    CapExceeded, CoxeterError, DescriptionError, OutOfEnumeratedRegion,
 )
 from .twisted import GeneratorParity
 
@@ -65,12 +65,13 @@ SAMPLE_PAIRS = 1000
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one suite on one system."""
+    """Outcome of one suite on one system, or the error that stopped it."""
 
     suite: str
     system: str
     checked: int
     failures: tuple[tuple[str, ...], ...]
+    error: str | None = None
 
     @property
     def passed(self) -> int:
@@ -78,7 +79,7 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and self.error is None
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,7 @@ class VerificationRun:
                     "checked": r.checked,
                     "passed": r.passed,
                     "failures": [list(f) for f in r.failures],
+                    **({"error": r.error} if r.error is not None else {}),
                 }
                 for r in self.reports
             ],
@@ -123,7 +125,10 @@ class VerificationRun:
         lines = [f"seed: {self.seed}"]
         for row in rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        errors = sum(r.error is not None for r in self.reports)
         for r in self.reports:
+            if r.error is not None:
+                lines.append(f"error in {r.suite} on {r.system}: {r.error}")
             if r.failures:
                 lines.append(f"counterexamples for {r.suite} on {r.system}:")
                 for f in r.failures[:5]:
@@ -132,6 +137,7 @@ class VerificationRun:
                     lines.append(f"  ... and {len(r.failures) - 5} more")
         lines.append(
             f"total: {self.total_checked} checked, {self.total_failed} failed"
+            + (f", {errors} error{'s' * (errors > 1)}" if errors else "")
         )
         return "\n".join(lines) + "\n"
 
@@ -191,9 +197,7 @@ def _below_masks(sys: CoxeterSystem) -> list[int]:
         s = last[i]
         p = table[i][s]
         if length[p] != length[i] - 1:
-            raise TheoremViolation(
-                f"stored last letter s{s + 1} of element {i} is not a right descent"
-            )
+            raise core._not_a_descent(s, i)
         lower.append([p] + [cs for c in lower[p] if (cs := table[c][s]) > c])
     below = _down_closure(lower, range(sys.size))
     _MASKS[sys] = (below, lower)
@@ -381,9 +385,9 @@ def check_fixed_subgroup_equality(sub: TwistedSubgroup, label: str = "") -> Veri
 
 def check_coset_partition(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """Cosets of the fixed subgroup tile the group without overlap, and each
-    reported coset equals r * H recomputed by plain multiplication, r the
-    member at tree position 0; each member j must sit at its recorded tree
-    position, r * elements[zpos[j]] = j."""
+    reported coset equals b * H recomputed by plain multiplication, b its
+    least member; each member j must sit at its recorded tree node,
+    b * elements[zpos[j]] = j."""
     sys = sub.system
     words = [z.word for z in sub.elements]  # each read up the table once
     zpos = cosets._partition(sub).zpos
@@ -394,8 +398,7 @@ def check_coset_partition(sub: TwistedSubgroup, label: str = "") -> Verification
         checked += 1
         rep = sys.element(members[0])
         got = list(members)
-        r = next((j for j in got if zpos[j] == 0), got[0])
-        at = [sys._walk(r, word) for word in words]
+        at = [sys._walk(rep.index, word) for word in words]
         if len(got) != sub.order:
             failures.append((rep.word_string(), "size"))
         elif got != sorted(at):
@@ -602,8 +605,8 @@ def run_suite(config: dict | None = None) -> VerificationRun:
 
     The config and every case, with its bond matrix and theta, are checked
     before any case is built, so a config problem raises DescriptionError,
-    MalformedMatrix or an AutomorphismError before any work; suite errors
-    become failure records.
+    MalformedMatrix or an AutomorphismError before any work; a suite that
+    raises CoxeterError is recorded with that error and nothing checked.
     """
     if config is None:
         config = default_config()
@@ -637,7 +640,5 @@ def run_suite(config: dict | None = None) -> VerificationRun:
             try:
                 reports.append(_SUITES[suite_name](case, label, seed))
             except CoxeterError as e:
-                reports.append(
-                    VerificationReport(suite_name, label, 0, ((f"error: {e}",),))
-                )
+                reports.append(VerificationReport(suite_name, label, 0, (), str(e)))
     return VerificationRun(reports=tuple(reports), seed=seed)

@@ -61,6 +61,40 @@ def test_partition_matches_recomputation(doc):
     assert reps == sorted({recompute(sub, u)[0][0] for u in sys})
 
 
+@pytest.mark.parametrize("doc", [
+    {"type": "A5", "theta": [[1, 5], [2, 4]]},
+    F4_SWAP,
+    {"type": "D5", "theta": [[4, 5]]},
+    HYPERBOLIC_534,
+], ids=["A5", "F4", "D5", "5-3-4"])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_every_coset_is_numbered_from_its_base_in_any_touch_order(doc, seed):
+    # member base * elements[z] sits at node z, whichever member touched
+    # the coset first; the nodes are recomputed by plain multiplication, in
+    # a ball ten times larger when the group is truncated, where the walks
+    # of the words stay inside
+    case = build(doc)
+    sys, sub = case.system, case.subgroup
+    walk = (sys if sys.complete else build({**doc, "cap": 20000}).system)._walk
+    part = cosets._partition(sub)
+    away = 0
+    for u in shuffled(sys, seed):
+        fresh = part.cid[u.index] < 0
+        try:
+            c = cosets._locate(sub, u)[1]
+        except ct.OutOfEnumeratedRegion:
+            continue
+        away += fresh and part.members[c * part.h] != u.index
+    assert away
+    words = [z.word for z in sub.elements]
+    for c in range(len(part.nmin)):
+        lo = c * part.h
+        base = part.members[lo]
+        assert part.zpos[base] == 0
+        assert list(part.at[lo : lo + part.h]) == [walk(base, w) for w in words]
+        assert all(part.zpos[j] == z for z, j in enumerate(part.at[lo : lo + part.h]))
+
+
 def test_truncated_ball_answers_exactly_or_refuses_without_recording():
     case = build(HYPERBOLIC_534)
     sys, sub = case.system, case.subgroup
@@ -121,7 +155,7 @@ def test_truncated_min_graphs_match_a_larger_ball():
 
 
 def test_dominate_answers_every_recorded_coset_of_a_truncated_ball():
-    # cur * g and witness * g are members of a recorded coset, so the walks
+    # prefix * g and witness * g are members of a recorded coset, so the walks
     # that reach them stay inside the ball
     case = build(HYPERBOLIC_534)
     sys, sub = case.system, case.subgroup
@@ -293,7 +327,7 @@ def test_dominate_refuses_exactly_past_a_planted_step_failure(monkeypatch):
     u, g = a.min_set[-1], sub.gens[1]
     before = {x: replayed_dominate(sub, x) for x in a.members}
     part = cosets._partition(sub)
-    assert part.cur[part.cid[u.index] * part.h] == -1  # not yet carried
+    assert part.wit[part.cid[u.index] * part.h] == -1  # not yet carried
     plant_step_failure(monkeypatch, (u.index, g))
     crossing = 0
     for x in a.members:

@@ -128,8 +128,8 @@ def test_corrupt_last_letter_stops_the_oracle(monkeypatch):
     monkeypatch.setattr(ct.GroupDescription, "build", lambda self: case)
     config = {"cases": [{"name": "F4", "type": "F4", "suites": ["bruhat-oracle-agreement"]}]}
     (report,) = ct.run_suite(config).reports
-    assert report.checked == 0
-    assert report.failures[0][0].startswith(f"error: stored last letter s{ascent + 1} of element {w} ")
+    assert (report.checked, report.failures) == (0, ())
+    assert report.error.startswith(f"stored last letter s{ascent + 1} of element {w} ")
 
 
 def words_as_generators(sys, words):
@@ -569,10 +569,9 @@ def test_wrong_twisted_product_is_detected(monkeypatch, k):
     run = ct.run_suite({"cases": [{**F4_SWAP, "suites": COSET_SUITES}]})
     assert [r.suite for r in run.reports] == COSET_SUITES
     for r in run.reports:
-        assert r.checked == 0
-        ((message,),) = r.failures
-        assert message.startswith("error: coset of '1' has ")
-        assert message.endswith(" distinct members, not 16")
+        assert (r.checked, r.failures) == (0, ())
+        assert r.error.startswith("coset of '1' has ")
+        assert r.error.endswith(" distinct members, not 16")
 
 
 def test_wrong_twisted_product_inside_the_subgroup_is_detected(monkeypatch):
@@ -756,16 +755,28 @@ def test_malformed_config_is_refused_before_any_case_is_built(monkeypatch, confi
     assert built == []
 
 
-def test_suite_errors_become_failure_records():
+def test_suite_errors_become_error_records():
     config = {
         "cases": [{"name": "infinite dihedral", "type": "I2(inf)", "cap": 60,
-                   "theta": [[1, 2]], "suites": ["coset-partition"]}],
+                   "theta": [[1, 2]], "suites": ["coset-partition", "length-additivity"]}],
     }
     run = ct.run_suite(config)
     assert not run.ok
-    report = run.reports[0]
-    assert report.checked == 0
-    assert report.failures[0][0].startswith("error:")
+    report, healthy = run.reports
+    assert (report.checked, report.passed, report.failures) == (0, 0, ())
+    assert report.error == "coset partition needs a fully enumerated group"
+    assert not report.ok and healthy.ok and healthy.error is None
+    assert (run.total_checked, run.total_failed) == (1, 0)
+    records = run.to_records()["suites"]
+    assert records[0]["error"] == report.error and records[0]["passed"] == 0
+    assert "error" not in records[1]
+    lines = run.to_text().splitlines()
+    assert lines[2].split() == ["coset-partition", "infinite", "dihedral", "0", "0", "0"]
+    assert lines[-2:] == [
+        "error in coset-partition on infinite dihedral: "
+        "coset partition needs a fully enumerated group",
+        "total: 1 checked, 0 failed, 1 error",
+    ]
 
 
 def test_report_arithmetic():
