@@ -334,6 +334,11 @@ def build_system(matrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
     queue = [0]
     for i in queue:
         if length[i] > layer:
+            if truncated:
+                # the cap is full and refused part of this layer: every
+                # firing from here on leads one layer further out, to
+                # elements the cap would refuse too
+                break
             layer = length[i]
             seen = {}
         above = layer + 1

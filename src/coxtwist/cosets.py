@@ -28,8 +28,10 @@ dominate's witness at a member is fixed by the member alone, so _carry
 carries it down the twisted-word tree from the coset's base once per
 coset, on the first dominate in that coset: one _advance per member.  The
 partition keeps the witnesses beside the members, and every later dominate
-in the coset reads its path from them.
-dominated-minimal-search runs the same walk afresh.
+in the coset reads its witness at x's node, one read.  The steps that led
+there are built from the same carried walk when the result's steps are
+first read (_domination_steps).  dominated-minimal-search runs the same
+walk afresh.
 """
 from __future__ import annotations
 
@@ -107,10 +109,26 @@ class DominationStep:
 
 @dataclass(frozen=True)
 class DominationResult:
+    """dominate's answer: witness, a minimal member of target's coset below
+    target, reached from base by steps.  A result of dominate builds steps
+    when they are first read; equality, hashing and repr read them as they
+    read the other fields."""
+
     target: Element
     base: Element
     witness: Element
     steps: tuple[DominationStep, ...]
+
+    def __getattr__(self, name):
+        # dominate leaves steps unset and keeps (sub, part, lo, z), the
+        # carried walk to build them from, in _walk
+        walk = self.__dict__.get("_walk")
+        if name != "steps" or walk is None:
+            raise AttributeError(name)
+        steps = _domination_steps(*walk)
+        object.__setattr__(self, "steps", steps)
+        del self.__dict__["_walk"]
+        return steps
 
 
 class _CosetPartition:
@@ -400,27 +418,14 @@ def escalation_trace(sub: TwistedSubgroup, u: Element, z: Element) -> Escalation
     return EscalationTrace(base=u, word=word, steps=tuple(steps), prefixes=tuple(prefixes))
 
 
-def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
-    """Construct a minimal coset member below x in the Bruhat order.
-
-    Walks the twisted word of x's tree node from the base, the least
-    minimal member.  Strict steps keep the current witness; equal-length
-    steps replace it, when needed, by witness * generator, preferring the
-    shorter candidate and breaking ties by ShortLex.  The witnesses are
-    carried down the whole twisted-word tree once per coset (_carry), on the
-    first dominate in the coset, at one step per member; each call reads
-    the steps of x's word from them.  A failed step is rerun to raise it.
-    """
-    part, c = _locate(sub, x)
-    if part.is_min_in(c, x):
-        return DominationResult(target=x, base=x, witness=x, steps=())
-    sys = x.system
-    lo = c * part.h
-    base = Element(sys, part.members[lo])
-    at, wit = part.at, part.wit
-    if wit[lo] < 0:
-        wit[lo : lo + part.h] = _carry(sub, part.tree, base.index)[1]
-    z = part.zpos[x.index]
+def _domination_steps(
+    sub: TwistedSubgroup, part: _CosetPartition, lo: int, z: int
+) -> tuple[DominationStep, ...]:
+    """dominate's steps along the twisted word of node z, from the base of
+    the coset at part.members[lo], read from the walk _carry left in
+    part.at and part.wit.  A step that failed there is rerun by _advance,
+    which raises its error."""
+    sys, at, wit = sub.system, part.at, part.wit
     path = []
     for a in core._chain(sub.table, sub.last, z):
         path.append((lo + z, sub.gens[a]))
@@ -440,13 +445,44 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
             )
         )
         p = k
-    witness = Element(sys, wit[p])
+    return tuple(steps)
+
+
+def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
+    """Construct a minimal coset member below x in the Bruhat order.
+
+    Walks the twisted word of x's tree node from the base, the least
+    minimal member.  Strict steps keep the current witness; equal-length
+    steps replace it, when needed, by witness * generator, preferring the
+    shorter candidate and breaking ties by ShortLex.  The witnesses are
+    carried down the whole twisted-word tree once per coset (_carry), on the
+    first dominate in the coset, at one step per member; each call reads
+    the witness at x's node from them, and the result builds its steps from
+    the same walk when they are first read.  A failed step on x's path is
+    rerun to raise it at once.
+    """
+    part, c = _locate(sub, x)
+    if part.is_min_in(c, x):
+        return DominationResult(target=x, base=x, witness=x, steps=())
+    sys = x.system
+    lo = c * part.h
+    wit = part.wit
+    if wit[lo] < 0:
+        wit[lo : lo + part.h] = _carry(sub, part.tree, part.members[lo])[1]
+    z = part.zpos[x.index]
+    if wit[lo + z] < 0:
+        _domination_steps(sub, part, lo, z)  # raises the failed step's error
+    witness = Element(sys, wit[lo + z])
     if not part.is_min_in(c, witness) or not core.bruhat_leq(witness, x):
         raise TheoremViolation(
             f"constructed witness {witness.word_string()!r} fails the contract "
             f"for {x.word_string()!r}"
         )
-    return DominationResult(target=x, base=base, witness=witness, steps=tuple(steps))
+    res = object.__new__(DominationResult)
+    res.__dict__.update(
+        target=x, base=Element(sys, part.members[lo]), witness=witness, _walk=(sub, part, lo, z)
+    )
+    return res
 
 
 def dominated_minimal(sub: TwistedSubgroup, x: Element) -> Element:

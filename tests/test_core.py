@@ -66,6 +66,31 @@ def test_infinite_groups_truncate():
     assert not affine.complete
 
 
+@pytest.mark.parametrize("matrix, small, big", [
+    (((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 4), (2, 2, 4, 1)), 2000, 5000),
+    (((1, 3, 2, 3), (3, 1, 3, 2), (2, 3, 1, 3), (3, 2, 3, 1)), 2000, 20000),
+    (((1, 3, 2), (3, 1, 3), (2, 3, 1)), 23, 24),
+    (((1, 3, 2), (3, 1, 3), (2, 3, 1)), 1, 23),
+], ids=["5-3-4", "affine A3", "A3 23", "A3 1"])
+def test_a_smaller_cap_cuts_the_larger_ball(matrix, small, big):
+    # the cap-small ball is the cap-big ball restricted to its first small
+    # indices, with every entry past them read as None
+    cut, ball = ct.build_system(matrix, cap=small), ct.build_system(matrix, cap=big)
+    assert cut.size == small < ball.size
+    assert not cut.complete
+    assert cut.length == ball.length[:small]
+    assert cut._last == ball._last[:small]
+    assert cut._table == [
+        [j if j is not None and j < small else None for j in row] for row in ball._table[:small]
+    ]
+
+
+def test_a_group_of_exactly_cap_elements_is_complete():
+    a3 = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
+    assert ct.build_system(a3, cap=24).complete
+    assert ct.build_system(ct.named_matrix("F4"), cap=1152).order == 1152
+
+
 def test_enumeration_is_shortlex_ordered_and_prefix_closed():
     for sys in (a_system(4), dihedral(6), ct.build_system(
             ((1, 4, 2), (4, 1, 8), (2, 8, 1)), cap=120)):

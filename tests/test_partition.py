@@ -278,6 +278,24 @@ def test_partition_holds_no_reference_cycle():
         gc.enable()
 
 
+@pytest.mark.parametrize("read", [False, True], ids=["steps unread", "steps read"])
+def test_a_kept_domination_result_holds_no_reference_cycle(read):
+    # an unread result keeps the subgroup and its partition to build its
+    # steps from; neither refers back to the result
+    case = build(F4_SWAP)
+    ref = weakref.ref(case.system)
+    gc.disable()
+    try:
+        kept = ct.dominate(case.subgroup, case.system.element(case.system.size - 1))
+        assert kept.steps if read else "steps" not in vars(kept)
+        del case
+        assert ref() is not None
+        del kept
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_oracle_masks_hold_no_reference_cycle():
     case = build(F4_SWAP)
     ref = weakref.ref(case.system)
@@ -309,15 +327,32 @@ def outcome(dominate, sub, x):
 ], ids=["A5", "F4", "D5", "5-3-4"])
 def test_dominate_equals_its_step_by_step_replay(doc, answered):
     # dominate reads each coset's walk, carried on the coset's first
-    # dominate; the replay walks x's own word, every field must agree
+    # dominate; the replay walks x's own word, every field must agree.  No
+    # result's steps are read until every coset is recorded
     case = build(doc)
     sub = case.subgroup
-    results = [
-        (outcome(ct.dominate, sub, x), outcome(replayed_dominate, sub, x))
-        for x in shuffled(case.system)
-    ]
-    assert all(got == replayed for got, replayed in results)
-    assert sum(isinstance(got, ct.DominationResult) for got, _ in results) == answered
+    kept = [(x, outcome(ct.dominate, sub, x)) for x in shuffled(case.system)]
+    results = [got for _, got in kept if isinstance(got, ct.DominationResult)]
+    assert len(results) == len(cosets._partition(sub).members) == answered
+    assert all("steps" not in vars(got) for got in results if got.base != got.target)
+    assert all(got == outcome(replayed_dominate, sub, x) for x, got in kept)
+
+
+def test_a_result_of_dominate_reads_like_one_built_with_its_steps():
+    # repr, == and hash each build the steps of a fresh result of dominate
+    case = build(F4_SWAP)
+    sub = case.subgroup
+    a = ct.coset(sub, case.system.element(case.system.size - 1))
+    for x in a.members:
+        read = ct.dominate(sub, x)
+        built = ct.DominationResult(
+            target=read.target, base=read.base, witness=read.witness, steps=read.steps
+        )
+        assert repr(ct.dominate(sub, x)) == repr(built)
+        assert ct.dominate(sub, x) == built
+        assert built == ct.dominate(sub, x)
+        assert hash(ct.dominate(sub, x)) == hash(built)
+    assert any(ct.dominate(sub, x).steps for x in a.members)
 
 
 def test_dominate_refuses_exactly_past_a_planted_step_failure(monkeypatch):
@@ -335,9 +370,10 @@ def test_dominate_refuses_exactly_past_a_planted_step_failure(monkeypatch):
         steps = zip(prefixes, before[x].steps)
         if any(p == u and step.generator == g for p, step in steps):
             crossing += 1
-            assert outcome(ct.dominate, sub, x) == outcome(replayed_dominate, sub, x) == (
-                ct.TheoremViolation, "planted",
-            )
+            # raised by the call itself, not by a later read of the steps
+            with pytest.raises(ct.TheoremViolation, match="^planted$"):
+                ct.dominate(sub, x)
+            assert outcome(replayed_dominate, sub, x) == (ct.TheoremViolation, "planted")
         else:
             assert ct.dominate(sub, x) == before[x]
     assert 0 < crossing < len(a.members) - len(a.min_set)
