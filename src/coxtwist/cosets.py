@@ -8,12 +8,15 @@ concrete witness if one fails.
 
 Coset facts are computed once per subgroup: the first question about any
 member u of a coset walks u down the twisted-word tree of the subgroup
-(u * z = (u * parent) * g on each row) and records the sorted members in a
+(u * z = (u * parent) * g on each row) and records the coset in a
 partition shared by every later call (coset, min_set, is_minimal,
-connect_minimals, escalation_trace, dominate, all_cosets), numbered from
-its base b, the least member: b * z sits at tree node z whatever member
-touched the coset first, so the quotient u^-1 * v of two members is a
-walk in the subgroup's table (twisted._quotient), never a walk in W.
+connect_minimals, escalation_trace, dominate, all_cosets).  The partition
+is two arrays, each member's slot and the member at each slot.  A coset
+fills h consecutive slots, numbered from its base b, the least member: b * z
+sits at tree node z whatever member touched the coset first, so the
+quotient u^-1 * v of two members is a walk in the subgroup's table
+(twisted._quotient), never a walk in W.  The sorted members, and the
+minimal ones among them, are read off a coset's slots when asked for.
 
 Every product of a member w by a twisted generator g is walked as
 p * (q * g) by twisted._times, where w = p * q splits off the part q of w
@@ -134,87 +137,75 @@ class DominationResult:
 class _CosetPartition:
     """The cosets of one subgroup, each recorded on first touch.
 
-    cid[i] is the coset id of element index i, or -1 while its coset is
-    untouched.  Coset c's member indices sit sorted at members[c*h:(c+1)*h];
-    indices follow ShortLex order, hence length, so the first nmin[c] of
-    them are its minimal members.  Nodes count from the base b = members[c*h]:
-    at[c*h + z] is b * elements[z] and j = b * elements[zpos[j]].  tree,
-    table and last are the subgroup's when the partition was made.
-    wit[c*h + z] is dominate's witness at node z (_carry), -1 past a failed
-    step; wit[c*h] is -1 until the first dominate in the coset.  The
-    partition keeps no reference to its subgroup, so it never closes a
-    reference cycle through it.
+    Two arrays hold the partition.  at[c*h:(c+1)*h] is coset c, node by
+    node: at[c*h + z] = b * elements[z], b = at[c*h] its base, the least
+    member.  slot[j] = c*h + z is the slot of member j, or -1 while its coset
+    is untouched.  Indices follow ShortLex order, hence length, so the
+    minimal members are those of the base's length.  tree, table and last
+    are the subgroup's when the partition was made.  wit[c*h + z] is
+    dominate's witness at node z (_carry), -1 past a failed step; wit[c*h]
+    is -1 until the first dominate in the coset.  The partition keeps no
+    reference to its subgroup, so it never closes a reference cycle through
+    it.
     """
 
-    __slots__ = ("system", "h", "tree", "table", "last", "cid", "zpos", "members", "nmin", "at", "wit")
+    __slots__ = ("system", "h", "tree", "table", "last", "slot", "at", "wit")
 
     def __init__(self, sub: TwistedSubgroup):
         self.system = sub.system
         self.h = sub.order
         self.tree = _word_tree(sub)
         self.table, self.last = sub.table, sub.last
-        self.cid = array("i", [-1]) * sub.system.size
-        self.zpos = array("i", [-1]) * sub.system.size
-        self.members = array("i")
-        self.nmin = array("i")
+        self.slot = array("i", [-1]) * sub.system.size
         self.at = array("i")
         self.wit = array("i")
 
-    def coset_id(self, i: int) -> int:
-        """Id of the coset of element index i, recording the coset if new.
+    def slot_of(self, i: int) -> int:
+        """The slot of element index i, recording its coset if new.
 
         i * z is filled down the twisted-word tree, (i * parent) * g on each
         row, one _times per member; a member outside the enumerated ball
         raises OutOfEnumeratedRegion before anything is recorded.  The base
         b = i * z_b then renumbers node z to b * z = i * (z_b * z).
         """
-        c = self.cid[i]
-        if c >= 0:
-            return c
-        sys = self.system
-        at = [i] * self.h
+        s = self.slot[i]
+        if s >= 0:
+            return s
+        sys, h = self.system, self.h
+        at = [i] * h
         for z, parent, g in self.tree:
             at[z] = _times(sys, at[parent], g)
-        found = sorted(set(at))
-        if len(found) != self.h:
+        found = set(at)
+        if len(found) != h:
             raise TheoremViolation(
                 f"coset of {sys.element(i).word_string()!r} has {len(found)} "
-                f"distinct members, not {self.h}"
+                f"distinct members, not {h}"
             )
-        cid = self.cid
-        for j in found:
-            if cid[j] >= 0:
+        slot = self.slot
+        for j in at:
+            if slot[j] >= 0:
                 raise TheoremViolation(
                     f"coset of {sys.element(i).word_string()!r} overlaps the coset "
-                    f"of {sys.element(self.members[cid[j] * self.h]).word_string()!r}"
+                    f"of {sys.element(self.at[slot[j] - slot[j] % h]).word_string()!r}"
                 )
-        zb = at.index(found[0])
+        zb = at.index(min(found))
         if zb:
-            node, table, last = [zb] * self.h, self.table, self.last
+            node, table, last = [zb] * h, self.table, self.last
             for z, parent, _ in self.tree:
                 node[z] = table[node[parent]][last[z]]
             at = [at[k] for k in node]
-        c = len(self.nmin)
+        lo = len(self.at)
         for z, j in enumerate(at):
-            cid[j] = c
-            self.zpos[j] = z
-        self.members.extend(found)
+            slot[j] = lo + z
         self.at.extend(at)
-        length = sys.length
-        low = length[found[0]]
-        k = 1
-        while k < self.h and length[found[k]] == low:
-            k += 1
-        self.nmin.append(k)
-        self.wit += array("i", [-1]) * self.h
-        return c
+        self.wit += array("i", [-1]) * h
+        return slot[i]
 
-    def min_length(self, c: int) -> int:
-        return self.system.length[self.members[c * self.h]]
-
-    def is_min_in(self, c: int, w: Element) -> bool:
-        """Whether w is a minimal member of coset c."""
-        return self.cid[w.index] == c and w.length == self.min_length(c)
+    def is_min_in(self, lo: int, w: Element) -> bool:
+        """Whether w is a minimal member of the coset at slot lo: a member as
+        long as the base at[lo]."""
+        s = self.slot[w.index]
+        return lo <= s < lo + self.h and w.length == self.system.length[self.at[lo]]
 
 
 def _partition(sub: TwistedSubgroup) -> _CosetPartition:
@@ -227,28 +218,44 @@ def _partition(sub: TwistedSubgroup) -> _CosetPartition:
     return part
 
 
-def _cosets(sub: TwistedSubgroup) -> Iterator[tuple[array, int]]:
+def _sorted_members(part: _CosetPartition, lo: int) -> tuple[list[int], int]:
+    """The member indices of the coset at slot lo, sorted, and the number of
+    its minimal members, which come first."""
+    found = sorted(part.at[lo : lo + part.h])
+    length = part.system.length
+    low = length[found[0]]
+    k = 1
+    while k < len(found) and length[found[k]] == low:
+        k += 1
+    return found, k
+
+
+def _cosets(sub: TwistedSubgroup) -> Iterator[tuple[list[int], int]]:
     """Each coset of a complete group as (sorted member indices, number of
-    minimal members), in order of representative, read off the partition."""
+    minimal members), in order of representative, read off the partition:
+    a base is the member at node 0."""
     sys = sub.system
     if not sys.complete:
         raise CapExceeded("coset partition needs a fully enumerated group")
     part = _partition(sub)
-    h, members, cid = part.h, part.members, part.cid
+    h, slot = part.h, part.slot
     for i in range(sys.size):
-        c = cid[i]
-        if c < 0:
-            c = part.coset_id(i)
-        if members[c * h] == i:
-            yield members[c * h : (c + 1) * h], part.nmin[c]
+        s = slot[i]
+        if s < 0:
+            s = part.slot_of(i)
+        if s % h == 0:
+            yield _sorted_members(part, s)
 
 
-def _locate(sub: TwistedSubgroup, u: Element) -> tuple[_CosetPartition, int]:
-    """The subgroup's partition and the id of u's coset in it."""
+def _locate(sub: TwistedSubgroup, u: Element) -> tuple[_CosetPartition, int, int]:
+    """The subgroup's partition, the slot lo of u's coset there and u's node
+    z, so that u sits at slot lo + z and the coset's base at slot lo."""
     if u.system is not sub.system:
         raise ValueError("element and subgroup belong to different systems")
     part = _partition(sub)
-    return part, part.coset_id(u.index)
+    s = part.slot_of(u.index)
+    z = s % part.h
+    return part, s - z, z
 
 
 def _step(sys: core.CoxeterSystem, i: int, g: TwistedGenerator) -> tuple[int, StepVerdict]:
@@ -321,16 +328,17 @@ def _carry(
 
 def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
     """Analyze the coset u * H."""
-    part, c = _locate(sub, u)
+    part, lo, _ = _locate(sub, u)
     sys = sub.system
-    lo = c * part.h
-    members = tuple(Element(sys, i) for i in part.members[lo : lo + part.h])
-    mins = members[: part.nmin[c]]
+    found, k = _sorted_members(part, lo)
+    members = tuple(Element(sys, i) for i in found)
+    mins = members[:k]
     edges = []
     for w in mins:
+        row = sub.table[part.slot[w.index] - lo]
         for a, g in enumerate(sub.gens):
-            v = Element(sys, part.at[lo + sub.table[part.zpos[w.index]][a]])
-            if part.is_min_in(c, v) and w.index < v.index:
+            v = Element(sys, part.at[lo + row[a]])
+            if part.is_min_in(lo, v) and w.index < v.index:
                 edges.append((w, v, g))
     edges.sort(key=lambda e: (e[0].index, e[1].index))
     return CosetAnalysis(
@@ -343,14 +351,14 @@ def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
 
 
 def min_set(sub: TwistedSubgroup, u: Element) -> tuple[Element, ...]:
-    part, c = _locate(sub, u)
-    lo = c * part.h
-    return tuple(Element(sub.system, i) for i in part.members[lo : lo + part.nmin[c]])
+    part, lo, _ = _locate(sub, u)
+    found, k = _sorted_members(part, lo)
+    return tuple(Element(sub.system, i) for i in found[:k])
 
 
 def is_minimal(sub: TwistedSubgroup, u: Element) -> bool:
-    part, c = _locate(sub, u)
-    return u.length == part.min_length(c)
+    part, lo, _ = _locate(sub, u)
+    return part.is_min_in(lo, u)
 
 
 def all_cosets(sub: TwistedSubgroup) -> list[CosetAnalysis]:
@@ -364,15 +372,16 @@ def connect_minimals(sub: TwistedSubgroup, u: Element, v: Element) -> list[Eleme
     which must keep the length (EQUAL), so that each link multiplies by one
     twisted generator and stays inside the minimal set.
     """
-    part, c = _locate(sub, u)
-    if _locate(sub, v)[1] != c:
+    part, lo, z_u = _locate(sub, u)
+    _, lo_v, z_v = _locate(sub, v)
+    if lo_v != lo:
         raise NotSameCoset(
             f"{u.word_string()!r} and {v.word_string()!r} lie in different cosets"
         )
     for w in (u, v):
-        if not part.is_min_in(c, w):
+        if not part.is_min_in(lo, w):
             raise NotMinimal(f"{w.word_string()!r} is not minimal in its coset")
-    y = sub.elements[_quotient(sub, part.zpos[u.index], part.zpos[v.index])]
+    y = sub.elements[_quotient(sub, z_u, z_v)]
     trace = escalation_trace(sub, u, y)
     chain = list(trace.prefixes)
     for verdict, w in zip(trace.steps, chain[1:]):
@@ -422,7 +431,7 @@ def _domination_steps(
     sub: TwistedSubgroup, part: _CosetPartition, lo: int, z: int
 ) -> tuple[DominationStep, ...]:
     """dominate's steps along the twisted word of node z, from the base of
-    the coset at part.members[lo], read from the walk _carry left in
+    the coset at part.at[lo], read from the walk _carry left in
     part.at and part.wit.  A step that failed there is rerun by _advance,
     which raises its error."""
     sys, at, wit = sub.system, part.at, part.wit
@@ -461,26 +470,24 @@ def dominate(sub: TwistedSubgroup, x: Element) -> DominationResult:
     the same walk when they are first read.  A failed step on x's path is
     rerun to raise it at once.
     """
-    part, c = _locate(sub, x)
-    if part.is_min_in(c, x):
+    part, lo, z = _locate(sub, x)
+    if part.is_min_in(lo, x):
         return DominationResult(target=x, base=x, witness=x, steps=())
     sys = x.system
-    lo = c * part.h
     wit = part.wit
     if wit[lo] < 0:
-        wit[lo : lo + part.h] = _carry(sub, part.tree, part.members[lo])[1]
-    z = part.zpos[x.index]
+        wit[lo : lo + part.h] = _carry(sub, part.tree, part.at[lo])[1]
     if wit[lo + z] < 0:
         _domination_steps(sub, part, lo, z)  # raises the failed step's error
     witness = Element(sys, wit[lo + z])
-    if not part.is_min_in(c, witness) or not core.bruhat_leq(witness, x):
+    if not part.is_min_in(lo, witness) or not core.bruhat_leq(witness, x):
         raise TheoremViolation(
             f"constructed witness {witness.word_string()!r} fails the contract "
             f"for {x.word_string()!r}"
         )
     res = object.__new__(DominationResult)
     res.__dict__.update(
-        target=x, base=Element(sys, part.members[lo]), witness=witness, _walk=(sub, part, lo, z)
+        target=x, base=Element(sys, part.at[lo]), witness=witness, _walk=(sub, part, lo, z)
     )
     return res
 

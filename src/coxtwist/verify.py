@@ -18,8 +18,11 @@ at i*g^-1, for the preimage masks {u : u*g <= i}, and finds the failing u
 of each w by whole-mask arithmetic.
 fixed-subgroup-equality finds W_L and the theta-image of each of its
 members in one breadth-first pass over the table.  The coset suites read
-each coset once from the shared partition (cosets._cosets), and
-bruhat-minimal-equality tests each member against one mask of its coset.
+each coset once from the shared partition (cosets._cosets).
+coset-partition checks both of the partition's arrays, the member at each
+slot and the slot of each member, against walks in W from each coset's
+least member, and bruhat-minimal-equality tests each member against one
+mask of its coset.
 The twisted words, chain quotients and tree rows they use are all read
 from the subgroup's table and stored last letters.  minimal-chains,
 step-dichotomy and dominated-minimal-search walk the twisted-word tree in
@@ -386,28 +389,29 @@ def check_fixed_subgroup_equality(sub: TwistedSubgroup, label: str = "") -> Veri
 def check_coset_partition(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """Cosets of the fixed subgroup tile the group without overlap, and each
     reported coset equals b * H recomputed by plain multiplication, b its
-    least member; each member j must sit at its recorded tree node,
-    b * elements[zpos[j]] = j."""
+    least member.  Both arrays of the partition must hold the recomputed
+    walk, node z holding b * elements[z]: the members at the coset's slots,
+    at[lo:lo+h], node by node, and the slot of each member, lo + z, where
+    lo = slot[b]."""
     sys = sub.system
     words = [z.word for z in sub.elements]  # each read up the table once
-    zpos = cosets._partition(sub).zpos
+    part = cosets._partition(sub)
+    h, slot, at = part.h, part.slot, part.at
     seen: set[int] = set()
     checked = 0
     failures = []
     for members, _ in cosets._cosets(sub):
         checked += 1
         rep = sys.element(members[0])
-        got = list(members)
-        at = [sys._walk(rep.index, word) for word in words]
-        if len(got) != sub.order:
-            failures.append((rep.word_string(), "size"))
-        elif got != sorted(at):
+        walk = [sys._walk(rep.index, word) for word in words]
+        lo = slot[rep.index]
+        if members != sorted(walk):
             failures.append((rep.word_string(), "members"))
-        elif any(at[zpos[j]] != j for j in got):
+        elif list(at[lo : lo + h]) != walk or any(slot[j] != lo + z for z, j in enumerate(walk)):
             failures.append((rep.word_string(), "positions"))
-        if seen.intersection(got):
+        if seen.intersection(members):
             failures.append((rep.word_string(), "overlap"))
-        seen.update(got)
+        seen.update(members)
     if len(seen) != sys.size:
         failures.append(("partition", "union"))
     return VerificationReport("coset-partition", label, checked, tuple(failures))

@@ -1,7 +1,7 @@
 import pytest
 
 import coxtwist as ct
-from coxtwist import core, cosets, twisted, verify
+from coxtwist import core, cosets, verify
 
 F4_MATRIX = ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1))
 A3_MATRIX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
@@ -115,14 +115,15 @@ def flipped_oracle(monkeypatch):
 def replayed_dominate(sub, x):
     """dominate by its definition, one step at a time: the twisted word of
     base^-1 * x walked from the coset's least minimal member, with one
-    cosets._advance per step.  Reads the partition's members and tree
-    positions, never its carried walk."""
-    part, c = cosets._locate(sub, x)
-    if part.is_min_in(c, x):
+    cosets._advance per step.  The base sits at node 0, so base^-1 * x is
+    x's node.  Reads the partition's base and x's node, never its carried
+    walk."""
+    part, lo, z = cosets._locate(sub, x)
+    if part.is_min_in(lo, x):
         return ct.DominationResult(target=x, base=x, witness=x, steps=())
     sys = x.system
-    base = sys.element(part.members[c * part.h])
-    y = sub.elements[twisted._quotient(sub, part.zpos[base.index], part.zpos[x.index])]
+    base = sys.element(part.at[lo])
+    y = sub.elements[z]
     i, witness, steps = base.index, base, []
     for g in ct.twisted_reduced_word(sub, y):
         i, verdict, w, replaced = cosets._advance(sys, i, witness.index, g)
@@ -136,12 +137,20 @@ def replayed_dominate(sub, x):
             f"twisted word from {base.word_string()!r} ended at "
             f"{sys.element(i).word_string()!r}, not {x.word_string()!r}"
         )
-    if not part.is_min_in(c, witness) or not core.bruhat_leq(witness, x):
+    if not part.is_min_in(lo, witness) or not core.bruhat_leq(witness, x):
         raise ct.TheoremViolation(
             f"constructed witness {witness.word_string()!r} fails the contract "
             f"for {x.word_string()!r}"
         )
     return ct.DominationResult(target=x, base=base, witness=witness, steps=tuple(steps))
+
+
+def trade_members(part, j, k):
+    """Swap element indices j and k in both arrays of a coset partition:
+    each takes the other's slot."""
+    a, b = part.slot[j], part.slot[k]
+    part.at[a], part.at[b] = k, j
+    part.slot[j], part.slot[k] = b, a
 
 
 def plant_step_failure(monkeypatch, target):

@@ -8,7 +8,7 @@ import pytest
 
 import coxtwist as ct
 from coxtwist import cosets, verify
-from conftest import down_set, plant_step_failure, replayed_dominate
+from conftest import down_set, plant_step_failure, replayed_dominate, trade_members
 
 F4_SWAP = {"type": "F4", "theta": [[1, 4], [2, 3]]}
 CASES = [
@@ -79,20 +79,19 @@ def test_every_coset_is_numbered_from_its_base_in_any_touch_order(doc, seed):
     part = cosets._partition(sub)
     away = 0
     for u in shuffled(sys, seed):
-        fresh = part.cid[u.index] < 0
+        fresh = part.slot[u.index] < 0
         try:
-            c = cosets._locate(sub, u)[1]
+            lo = cosets._locate(sub, u)[1]
         except ct.OutOfEnumeratedRegion:
             continue
-        away += fresh and part.members[c * part.h] != u.index
+        away += fresh and part.at[lo] != u.index
     assert away
     words = [z.word for z in sub.elements]
-    for c in range(len(part.nmin)):
-        lo = c * part.h
-        base = part.members[lo]
-        assert part.zpos[base] == 0
+    for lo in range(0, len(part.at), part.h):
+        base = part.at[lo]
+        assert base == min(part.at[lo : lo + part.h])
         assert list(part.at[lo : lo + part.h]) == [walk(base, w) for w in words]
-        assert all(part.zpos[j] == z for z, j in enumerate(part.at[lo : lo + part.h]))
+        assert all(part.slot[j] == lo + z for z, j in enumerate(part.at[lo : lo + part.h]))
 
 
 def test_truncated_ball_answers_exactly_or_refuses_without_recording():
@@ -110,17 +109,17 @@ def test_truncated_ball_answers_exactly_or_refuses_without_recording():
             minimal = ct.is_minimal(sub, u)
         except ct.OutOfEnumeratedRegion:
             assert expected is None
-            assert part.cid[u.index] == -1
+            assert part.slot[u.index] == -1
             with pytest.raises(ct.OutOfEnumeratedRegion):
                 ct.min_set(sub, u)
             with pytest.raises(ct.OutOfEnumeratedRegion):
                 ct.dominate(sub, u)
-            assert part.cid[u.index] == -1
+            assert part.slot[u.index] == -1
             refused += 1
             continue
         answered += 1
-        c = part.cid[u.index]
-        members = list(part.members[c * part.h : (c + 1) * part.h])
+        lo = cosets._locate(sub, u)[1]
+        members = sorted(part.at[lo : lo + part.h])
         mins = [w.index for w in ct.min_set(sub, u)]
         # without an expectation, the coset was recorded through another
         # member whose walks stay inside the ball
@@ -188,8 +187,8 @@ def test_connect_minimals_answers_every_recorded_coset_of_a_truncated_ball(desce
             pass
     part = cosets._partition(sub)
     pairs = 0
-    for c in range(len(part.nmin)):
-        mins = ct.min_set(sub, sys.element(part.members[c * part.h]))
+    for lo in range(0, len(part.at), part.h):
+        mins = ct.min_set(sub, sys.element(part.at[lo]))
         for u in mins:
             for v in mins:
                 if u == v:
@@ -238,7 +237,7 @@ def test_connect_minimals_tells_recorded_cosets_apart_in_a_truncated_ball():
         except ct.OutOfEnumeratedRegion:
             pass
     part = cosets._partition(sub)
-    reps = [sys.element(part.members[c * part.h]) for c in range(len(part.nmin))]
+    reps = [sys.element(b) for b in part.at[:: part.h]]
     rng = random.Random(3)
     pairs = 0
     for _ in range(5000):
@@ -257,8 +256,8 @@ def test_coset_partition_suite_catches_a_corrupted_partition():
     assert verify.check_coset_partition(sub, "A3").ok
     part = cosets._partition(sub)
     h = part.h
-    # trade the last members of the first two cosets
-    part.members[h - 1], part.members[2 * h - 1] = part.members[2 * h - 1], part.members[h - 1]
+    # the longest members of the first two cosets trade slots
+    trade_members(part, max(part.at[:h]), max(part.at[h : 2 * h]))
     report = verify.check_coset_partition(sub, "A3")
     assert report.checked == len(ct.all_cosets(sub))
     assert {f[1] for f in report.failures} == {"members"}
@@ -333,7 +332,7 @@ def test_dominate_equals_its_step_by_step_replay(doc, answered):
     sub = case.subgroup
     kept = [(x, outcome(ct.dominate, sub, x)) for x in shuffled(case.system)]
     results = [got for _, got in kept if isinstance(got, ct.DominationResult)]
-    assert len(results) == len(cosets._partition(sub).members) == answered
+    assert len(results) == len(cosets._partition(sub).at) == answered
     assert all("steps" not in vars(got) for got in results if got.base != got.target)
     assert all(got == outcome(replayed_dominate, sub, x) for x, got in kept)
 
@@ -362,7 +361,7 @@ def test_dominate_refuses_exactly_past_a_planted_step_failure(monkeypatch):
     u, g = a.min_set[-1], sub.gens[1]
     before = {x: replayed_dominate(sub, x) for x in a.members}
     part = cosets._partition(sub)
-    assert part.wit[part.cid[u.index] * part.h] == -1  # not yet carried
+    assert part.wit[cosets._locate(sub, u)[1]] == -1  # not yet carried
     plant_step_failure(monkeypatch, (u.index, g))
     crossing = 0
     for x in a.members:

@@ -11,6 +11,7 @@ import coxtwist as ct
 from coxtwist import core, cosets, twisted, verify
 from conftest import (
     a_system, dihedral, plant_step_failure, reflection_closure, replayed_dominate,
+    trade_members,
 )
 
 import permutation_models as pm
@@ -370,42 +371,100 @@ def run_on_recorded_partition(monkeypatch, case, corrupt):
 ], ids=["down", "up"])
 def test_shifted_minimal_count_is_detected(monkeypatch, shift, flipped, failing):
     # coset 1 is the coset of s1, whose minimal members are s1 and s4;
-    # shifting its count flips the claimed minimality of member ``flipped``
+    # shifting the minimal count read off its slots flips the claimed
+    # minimality of member ``flipped``
     case = ct.GroupDescription.from_dict(F4_SWAP).build()
     sys, h = case.system, case.subgroup.order
+    read = cosets._sorted_members
+
+    def shifted(part, lo):
+        found, k = read(part, lo)
+        return found, k + shift if lo == h else k
 
     def corrupt(part):
-        assert part.nmin[1] == 2
-        part.nmin[1] += shift
+        assert read(part, h)[1] == 2
+        monkeypatch.setattr(cosets, "_sorted_members", shifted)
 
     reports = run_on_recorded_partition(monkeypatch, case, corrupt)
     assert {name for name, r in reports.items() if r.failures} == failing
-    members = cosets._partition(case.subgroup).members[h : 2 * h]
+    members = read(cosets._partition(case.subgroup), h)[0]
     assert reports["bruhat-minimal-equality"].failures == (
         (sys.element(members[0]).word_string(), sys.element(members[flipped]).word_string()),
     )
 
 
-def test_swapped_coset_members_are_detected(monkeypatch):
+def test_traded_least_member_is_detected(monkeypatch):
+    # coset 1 is the coset of s1, whose minimal members are s1 and s4.  Its
+    # base s1 trades slots with the longest member of coset 2, which puts
+    # that member at coset 1's node 0 and s1 among coset 2's members
     case = ct.GroupDescription.from_dict(F4_SWAP).build()
-    sys = case.system
+    sys, h = case.system, case.subgroup.order
+    s1 = sys.gens()[0].index
 
     def corrupt(part):
-        # the last member of cosets 1 and 2 trade places
-        a, b = 2 * part.h - 1, 3 * part.h - 1
-        part.members[a], part.members[b] = part.members[b], part.members[a]
+        assert part.at[h] == s1
+        trade_members(part, s1, max(part.at[2 * h : 3 * h]))
 
     reports = run_on_recorded_partition(monkeypatch, case, corrupt)
-    # the swapped members are the longest of their cosets, so no minimal
+    assert {name: len(r.failures) for name, r in reports.items()} == {
+        "coset-partition": 2, "bruhat-minimal-equality": 1, "minimal-chains": 2,
+        "step-dichotomy": 17, "dominated-minimal-search": 22,
+    }
+    assert {f[1] for f in reports["coset-partition"].failures} == {"members"}
+
+
+def test_swapped_coset_members_are_detected(monkeypatch):
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys, h = case.system, case.subgroup.order
+    longest = []
+
+    def corrupt(part):
+        # the longest members of cosets 1 and 2 trade slots
+        longest.extend(max(part.at[c * h : (c + 1) * h]) for c in (1, 2))
+        trade_members(part, *longest)
+
+    reports = run_on_recorded_partition(monkeypatch, case, corrupt)
+    # the traded members are the longest of their cosets, so no minimal
     # set changes
     assert {name for name, r in reports.items() if r.failures} == {
         "coset-partition", "step-dichotomy", "dominated-minimal-search",
     }
-    members = cosets._partition(case.subgroup).members
-    reps = [sys.element(members[c * case.subgroup.order]) for c in (1, 2)]
+    reps = [sys.element(cosets._partition(case.subgroup).at[c * h]) for c in (1, 2)]
     assert reports["coset-partition"].failures == tuple(
         (rep.word_string(), "members") for rep in reps
     )
+
+
+def test_swapped_nodes_in_a_coset_are_detected(monkeypatch):
+    # nodes 1 and 2 of coset 1 trade members in at alone: the coset's
+    # members and every slot stay right, but the steps dominate reads at
+    # those nodes do not
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys, sub, h = case.system, case.subgroup, case.subgroup.order
+
+    def corrupt(part):
+        part.at[h + 1], part.at[h + 2] = part.at[h + 2], part.at[h + 1]
+
+    reports = run_on_recorded_partition(monkeypatch, case, corrupt)
+    assert {name for name, r in reports.items() if r.failures} == {"coset-partition"}
+    rep = sys.element(cosets._partition(sub).at[h])
+    assert reports["coset-partition"].failures == ((rep.word_string(), "positions"),)
+    changed = sum(ct.dominate(sub, x) != replayed_dominate(sub, x) for x in sys)
+    assert changed == 14
+
+
+def test_wrong_member_slot_is_detected(monkeypatch):
+    # the longest member of coset 1 claims the slot of coset 1's node 1
+    case = ct.GroupDescription.from_dict(F4_SWAP).build()
+    sys, h = case.system, case.subgroup.order
+
+    def corrupt(part):
+        part.slot[max(part.at[h : 2 * h])] = h + 1
+
+    reports = run_on_recorded_partition(monkeypatch, case, corrupt)
+    assert {name for name, r in reports.items() if r.failures} == {"coset-partition"}
+    rep = sys.element(cosets._partition(case.subgroup).at[h])
+    assert reports["coset-partition"].failures == ((rep.word_string(), "positions"),)
 
 
 PARITY_SUITES = WORD_SUITES | {"generator-parity"}
