@@ -17,16 +17,26 @@ Every subsequent operation is a walk over that one right-multiplication
 table, so answers are exact.  The table entry w*s of the last letter s of
 w's canonical word is the element whose canonical word drops that letter,
 so a canonical word is read up the table from its end, w = (w*s)*s, one
-stored last letter per step, and the Bruhat order lifts through right
-descents along the same chain.  One chain reader (_chain) serves W and the
+stored last letter per step.  One chain reader (_chain) serves W and the
 fixed subgroups of twisted.py, which store their last letters the same way.
 An inverse is the walk of that chain from the identity (_walk_inverse), so
 no second table is kept.  A walk that would leave the enumerated region
 raises OutOfEnumeratedRegion instead of guessing.
+
+The Bruhat order (bruhat_leq) takes one of two paths, chosen by whether the
+enumeration closed.  A complete group compares by Deodhar's criterion on
+its maximal quotients: the quotient label of every element under each
+generator, and a mask of the labels below each quotient member, built on
+the first comparison (_quotients), so a comparison is one read and one bit
+test per generator.  On a truncated ball those masks would grow with the
+square of the cap, so a ball lifts through right descents along the
+canonical word's chain instead, keeping nothing; every step of that walk
+shortens, so it never leaves the ball.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -143,6 +153,8 @@ class CoxeterSystem:
         # not a functools.cached_property: its write through __dict__ slows
         # every later attribute load on the system (CPython 3.11+)
         self._reflection_cache = None
+        # (proj, below) of _quotients, for bruhat_leq on a complete system
+        self._quotient_cache = None
 
     # -- basic access -------------------------------------------------
 
@@ -460,23 +472,112 @@ def inversion_set(w: Element) -> tuple[Element, ...]:
     return tuple(Element(sys, t) for t in sorted(seen))
 
 
-def bruhat_leq(u: Element, w: Element) -> bool:
-    """Strong Bruhat order comparison by right-descent lifting.
+def _quotients(sys: CoxeterSystem):
+    """The maximal-quotient data of a complete system, as (proj, below),
+    built once and kept in sys._quotient_cache.
 
-    For a right descent s of w, u <= w iff min(u, u*s) <= w*s
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7).  The
-    last letter of a canonical word is such a descent, and dropping it
-    leaves the canonical word of w*s, so the comparison reads w's stored
-    last letters up the table, one letter per step.  Both steps read the
-    right-multiplication table and only ever shorten, so the comparison
-    stays inside a truncated ball and needs no inverse.  A stored last
-    letter that is not a descent raises TheoremViolation, as in _chain.
+    For each generator k, J = S minus {k}, the quotient W^J holds the least
+    member of each coset i*W_J; its members are labelled 0, 1, ... in index
+    order, so shorter members have smaller labels.  proj[k][i] is the label
+    of the least member of i*W_J, and below[k][a] the bitmask of the labels
+    below label a in the Bruhat order, which W^J inherits from W.
+
+    proj is filled in one pass in index order.  With s = last[i] and
+    p = i*s, every k != s has s in J, so i keeps p's label; for k = s, i
+    takes the label of i*t for another right descent t, and without one
+    D_R(i) = {s}, so i is the least member of its own coset.
+    A member q != e with first letter s has s*q in W^J, and the covers of q
+    in W^J are s*q and each s*c, c a cover of s*q, with l(s*c) = l(q) - 1
+    and s*c in W^J (the lifting property on the left, Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Prop. 2.2.7 and Thm 2.5.5); below[k]
+    closes over them in label order.  Every other s*c is below q too, so
+    the length and membership tests change no mask; they keep the lists
+    short.
+    A stored last letter that is not a descent raises TheoremViolation,
+    caching nothing.
+    """
+    table, last, length = sys._table, sys._last, sys.length
+    n, size = sys.rank, sys.size
+    code = "H" if size <= 65536 else "i"
+    proj = [array(code, [0]) * size for _ in range(n)]
+    members = [[0] for _ in range(n)]
+    for i in range(1, size):
+        s = last[i]
+        row = table[i]
+        p = row[s]
+        if p >= i:
+            raise _not_a_descent(s, i)
+        # copying k = s too, then overwriting it, is faster than a test
+        for pk in proj:
+            pk[i] = pk[p]
+        pk = proj[s]
+        for t in range(n):
+            if t != s and row[t] < i:
+                pk[i] = pk[row[t]]
+                break
+        else:
+            pk[i] = len(members[s])
+            members[s].append(i)
+
+    e = table[0]
+    below = []
+    for k in range(n):
+        pk, mk = proj[k], members[k]
+        words = [()]
+        lower = [[]]
+        masks = [1]
+        for a in range(1, len(mk)):
+            word = _chain(table, last, mk[a])
+            word.reverse()
+            words.append(word)
+            s = word[0]
+            b = pk[sys._walk(0, word[1:])]
+            down = [b]
+            for c in lower[b]:
+                sc = sys._walk(e[s], words[c])
+                if length[sc] > length[mk[c]] and mk[pk[sc]] == sc:
+                    down.append(pk[sc])
+            lower.append(down)
+            mask = 1 << a
+            for c in down:
+                mask |= masks[c]
+            masks.append(mask)
+        below.append(masks)
+    sys._quotient_cache = (proj, below)
+    return sys._quotient_cache
+
+
+def bruhat_leq(u: Element, w: Element) -> bool:
+    """Strong Bruhat order comparison.
+
+    A complete system answers by Deodhar's criterion: u <= w iff, for every
+    generator k, the least member of u*W_(S minus {k}) is below that of w
+    (Deodhar, Invent. Math. 39, 1977; Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, Thm 2.6.1), one projection read and one mask test per
+    generator on the data of _quotients, built on the first comparison.
+    The masks of a truncated ball would grow with the square of its cap, so
+    a ball lifts through right descents instead: for a right descent s of
+    w, u <= w iff min(u, u*s) <= w*s (ibid., Prop. 2.2.7).  The last letter
+    of a canonical word is such a descent, and dropping it leaves the
+    canonical word of w*s, so the walk reads w's stored last letters up the
+    table, one letter per step.  Both steps read the right-multiplication
+    table and only ever shorten, so the walk stays inside the ball and
+    needs no inverse.  A stored last letter that is not a descent raises
+    TheoremViolation on either path, as in _chain.
     """
     _same_system(u, w)
     sys = u.system
-    table, last = sys._table, sys._last
     iu, iw = u.index, w.index
     lu, lw = sys.length[iu], sys.length[iw]
+    if sys.complete:
+        if lu >= lw:
+            return iu == iw
+        proj, below = sys._quotient_cache or _quotients(sys)
+        for pk, bk in zip(proj, below):
+            if not bk[pk[iw]] >> pk[iu] & 1:
+                return False
+        return True
+    table, last = sys._table, sys._last
     while iu != iw:
         if lu >= lw:
             return False

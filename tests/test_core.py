@@ -235,6 +235,21 @@ def test_a_stored_last_letter_that_is_not_a_descent_raises():
                  lambda: ct.bruhat_leq(sys.identity, sys.element(1)), lambda: sys.words):
         with pytest.raises(TheoremViolation, match=message):
             read()
+    # the complete group's quotient data is refused whole, so the next
+    # comparison reads the bad letter again
+    assert sys._quotient_cache is None
+    with pytest.raises(TheoremViolation, match=message):
+        ct.bruhat_leq(sys.identity, sys.element(1))
+    # an ascent planted mid-table: the fill has read half the table when it
+    # raises, and still stores nothing
+    sys = ct.build_system(F4_MATRIX)
+    w = sys.size // 2
+    ascent = next(s for s in range(sys.rank) if sys._table[w][s] > w)
+    sys._last[w] = ascent
+    for _ in range(2):
+        with pytest.raises(TheoremViolation, match=f"s{ascent + 1} of element {w} "):
+            ct.bruhat_leq(sys.identity, sys.element(1))
+        assert sys._quotient_cache is None
     # a step out of a truncated ball is no descent either
     sys = dihedral(INF, cap=10)
     deepest = sys.size - 1
@@ -558,6 +573,21 @@ def test_bruhat_order_axioms_f4(f4):
             for v in elements[:15]:
                 if ct.bruhat_leq(u, v) and ct.bruhat_leq(v, w):
                     assert ct.bruhat_leq(u, w)
+
+
+@pytest.mark.parametrize("name", ["A5", "F4"])
+def test_quotient_masks_agree_with_the_descent_walk(name):
+    # a cap one short of the order keeps the ShortLex numbering but leaves
+    # a truncated ball, which compares by the descent walk, not the masks
+    full = ct.build_system(ct.named_matrix(name))
+    ball = ct.build_system(ct.named_matrix(name), cap=full.size - 1)
+    assert full.complete and not ball.complete
+
+    def down_sets(sys):
+        elements = [sys.element(i) for i in range(ball.size)]
+        return [[u.index for u in elements if ct.bruhat_leq(u, w)] for w in elements]
+
+    assert down_sets(full) == down_sets(ball)
 
 
 @pytest.mark.parametrize("name", TRUNCATED)

@@ -75,7 +75,12 @@ def finite_products(draw):
 @given(finite_products())
 def test_oracle_matches_reflection_closure(sys):
     assert sys.complete
-    assert verify._below_masks(sys) == reflection_closure(sys)
+    below = reflection_closure(sys)
+    assert verify._below_masks(sys) == below
+    # bruhat_leq reads a complete group's quotient masks
+    for w in random.Random(sys.size).sample(list(sys), min(sys.size, 8)):
+        expected = [i for i in range(sys.size) if below[w.index] >> i & 1]
+        assert [u.index for u in sys if ct.bruhat_leq(u, w)] == expected
 
 
 def swap_case(rows, L, rng, cap=ct.DEFAULT_CAP):

@@ -305,6 +305,20 @@ def test_corrupt_fixture_is_detected(flipped_oracle):
     assert "counterexamples" in text
 
 
+def test_corrupt_quotient_mask_is_detected():
+    # bruhat_leq compares a complete group through its quotient masks; in
+    # the quotient by W_{s1,s3}, label 5 is s2*s1*s3*s2 and label 1 is s2
+    sys = a_system(4)
+    proj, below = core._quotients(sys)
+    top = ct.element_from_word(sys, [1, 0, 2, 1]).index
+    assert (proj[1][top], proj[1][sys.gens()[1].index]) == (5, 1)
+    assert below[1][5] >> 1 & 1
+    below[1][5] &= ~(1 << 1)
+    report = verify.check_oracle_agreement(sys, "A3")
+    assert (report.checked, len(report.failures)) == (576, 16)
+    assert report.failures[0] == ("2", "2 1 3 2")
+
+
 WORD_SUITES = {
     "length-additivity", "minimal-chains", "step-dichotomy", "dominated-minimal-search",
 }
