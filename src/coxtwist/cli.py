@@ -2,9 +2,10 @@
 
 Commands read a JSON group description (see descriptions.py for the
 schema) and print deterministic text.  Exit codes: 0 success, 1
-verification failures or suite errors, or a reader that closed stdout
-early, 2 parse or validation errors, 3 cap or enumeration region errors, 4
-malformed element words.
+verification failures or suite errors, any other library error (such as a
+failed structural check), or a reader that closed stdout early, 2 parse or
+validation errors, 3 cap or enumeration region errors, 4 malformed element
+words.  Every library error is printed to stderr as ``error: <message>``.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .errors import (
     AutomorphismError,
     BadElementWord,
     CapExceeded,
+    CoxeterError,
     DescriptionError,
     InfiniteParabolic,
     MalformedMatrix,
@@ -189,6 +191,9 @@ def main(argv=None) -> int:
     except BadElementWord as e:
         print(f"error: {e}", file=_sys.stderr)
         return 4
+    except CoxeterError as e:
+        print(f"error: {e}", file=_sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -20,8 +20,11 @@ so a canonical word is read up the table from its end, w = (w*s)*s, one
 stored last letter per step.  One chain reader (_chain) serves W and the
 fixed subgroups of twisted.py, which store their last letters the same way.
 An inverse is the walk of that chain from the identity (_walk_inverse), so
-no second table is kept.  A walk that would leave the enumerated region
-raises OutOfEnumeratedRegion instead of guessing.
+no second table is kept.  One strip of right descents in a generator
+subset (_strip) splits an element by a standard parabolic, for
+parabolic_decompose and for the twisted products of twisted.py.  A walk
+that would leave the enumerated region raises OutOfEnumeratedRegion
+instead of guessing.
 
 The Bruhat order (bruhat_leq) takes one of two paths, chosen by whether the
 enumeration closed.  A complete group compares by Deodhar's criterion on
@@ -71,6 +74,30 @@ def _chain(table: Sequence[Sequence], last: Sequence, i: int) -> list[int]:
 
 def _not_a_descent(s: int, i: int) -> TheoremViolation:
     return TheoremViolation(f"stored last letter s{s + 1} of element {i} is not a right descent")
+
+
+def _strip(table: Sequence[Sequence], i: int, J: Iterable[int], r) -> tuple:
+    """(p, r*q^-1) for i = p*q, q in the parabolic W_J and p free of right
+    descents in J, so the lengths add (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, Prop. 2.4.4).  i's right descents in J are stripped
+    one at a time, and each stripped letter s is applied to r as well,
+    r = r*s, so r ends as r*q^-1.  Indices follow ShortLex order, so a
+    smaller neighbour index is the shorter element.
+    Started at the identity, r ends as q^-1 and passes only through the
+    prefixes of q^-1's word, each shorter than i until the strip reaches
+    p = e.  A truncated ball holds every length shell below its top one
+    whole, so r can leave it only on that last step, ending as None with
+    q = i; parabolic_decompose returns i itself then."""
+    while True:
+        row = table[i]
+        for s in J:
+            j = row[s]
+            if j is not None and j < i:
+                i = j
+                r = table[r][s]
+                break
+        else:
+            return i, r
 
 
 class Element:
@@ -597,29 +624,19 @@ def bruhat_leq(u: Element, w: Element) -> bool:
 
 def parabolic_decompose(w: Element, J: Iterable[int]) -> tuple[Element, Element]:
     """Split w = prefix * suffix with suffix in W_J, prefix J-descent-free
-    and lengths adding; returns (prefix, suffix)."""
+    and lengths adding; returns (prefix, suffix).  One _strip from the
+    identity gives the prefix and the suffix's inverse, which is walked back
+    to the suffix; a strip down to the identity leaves w itself as the
+    suffix."""
     sys = w.system
     J = frozenset(J)
     for s in J:
         if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < sys.rank:
             raise ValueError(f"J member {s!r} is not a generator index")
-    order = sorted(J)
-    table, length = sys._table, sys.length
-    p = w.index
-    stripped = []
-    while True:
-        lp = length[p]
-        for s in order:
-            q = table[p][s]
-            if q is not None and length[q] < lp:
-                p = q
-                stripped.append(s)
-                break
-        else:
-            break
-    suffix_word = tuple(reversed(stripped))
-    suffix = Element(sys, sys._walk(0, suffix_word))
-    return Element(sys, p), suffix
+    p, r = _strip(sys._table, w.index, J, 0)
+    if not p:
+        return Element(sys, 0), w
+    return Element(sys, p), Element(sys, sys._walk_inverse(0, r))
 
 
 def longest_element(sys: CoxeterSystem, J: Iterable[int]) -> Element:

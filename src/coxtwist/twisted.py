@@ -77,27 +77,15 @@ class TwistedGenerator:
 def _times(sys: CoxeterSystem, i: int, g: TwistedGenerator) -> int:
     """Index of element i times g, walked as p*(q*g).
 
-    Stripping right descents in g's orbit from i leaves i = p*q, with q in
-    the orbit parabolic and p free of descents in it, so lengths add along
-    p times any element of that parabolic: no step is longer than i*g.  The
-    same letters stripped from g, an involution, leave r = g*q^-1, and
-    q*g = r^-1 is walked up r's chain (CoxeterSystem._walk_inverse).
+    Stripping right descents in g's orbit from i (core._strip) leaves
+    i = p*q, with q in the orbit parabolic and p free of descents in it, so
+    lengths add along p times any element of that parabolic: no step is
+    longer than i*g.  The strip applies the same letters to g, an
+    involution, leaving r = g*q^-1 in the orbit parabolic, which g closes
+    in the ball, and q*g = r^-1 is walked up r's chain
+    (CoxeterSystem._walk_inverse).
     """
-    table = sys._table
-    p = i
-    r = g.elt.index
-    while True:
-        row = table[p]
-        for s in g.orbit:
-            j = row[s]
-            # indices follow ShortLex order: a smaller neighbour is shorter
-            if j is not None and j < p:
-                p = j
-                # r stays in the orbit parabolic, which g closes in the ball
-                r = table[r][s]
-                break
-        else:
-            break
+    p, r = core._strip(sys._table, i, g.orbit, g.elt.index)
     return sys._walk_inverse(p, r)
 
 

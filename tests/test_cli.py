@@ -273,6 +273,19 @@ def test_bad_element_words_exit_four(f4_json, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+def test_any_other_library_error_exits_one(f4_json, monkeypatch, capsys):
+    # a failed structural check is reported like every other library error,
+    # not as a traceback
+    def broken(system, i, g):
+        raise coxtwist.TheoremViolation("planted")
+
+    monkeypatch.setattr(coxtwist.cosets, "_step", broken)
+    assert main(["dominate", f4_json, "3 2 1 3 2 3 4 3 2 1 3 2 4 3 2 1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: planted\n"
+    assert captured.out == ""
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main([])

@@ -637,6 +637,32 @@ def test_parabolic_decomposition_exhaustive():
             assert suffix.index in member_idx
 
 
+def test_parabolic_decomposition_on_a_truncated_ball():
+    # the 5-3-4 ball keeps every length shell below its top one whole, so a
+    # suffix shorter than w is inside it; w's inverse may not be
+    sys = ct.build_system(
+        [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]], cap=2000
+    )
+    assert not sys.complete
+    for J in subsets(range(4)):
+        for w in sys:
+            prefix, suffix = ct.parabolic_decompose(w, J)
+            assert ct.multiply(prefix, suffix) == w
+            assert prefix.length + suffix.length == w.length
+            assert set(suffix.word) <= J
+            assert not (ct.descents(prefix) & J)
+    outside = []
+    for w in sys:
+        try:
+            ct.inverse(w)
+        except OutOfEnumeratedRegion:
+            outside.append(w)
+    # the strip from the identity leaves the ball on these, ending at e
+    assert len(outside) == 77
+    for w in outside:
+        assert ct.parabolic_decompose(w, range(4)) == (sys.identity, w)
+
+
 def test_parabolic_decompose_rejects_bad_indices():
     sys = a_system(3)
     for J in ((5,), (True,), ("0",)):

@@ -14,9 +14,11 @@ from coxtwist import (
     NotFixed,
     NotInWL,
     NotInvolutive,
+    OutOfEnumeratedRegion,
     OutOfL,
     TheoremViolation,
 )
+from coxtwist import twisted
 from conftest import a_system, dihedral
 
 import permutation_models as pm
@@ -272,3 +274,30 @@ def test_a_stored_twisted_last_letter_that_is_not_a_descent_raises(f4_sub):
     sub = dataclasses.replace(f4_sub, last=tuple(last))
     with pytest.raises(TheoremViolation, match="of element 1 is not a right descent"):
         ct.twisted_reduced_word(sub, sub.elements[1])
+
+
+@pytest.mark.parametrize("doc, refused", [
+    ({"type": "F4", "theta": [[1, 4], [2, 3]]}, 0),
+    ({"type": "A5", "theta": [[1, 5], [2, 4]]}, 0),
+    ({"matrix": [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]],
+      "L": [3, 4], "theta": [[3, 4]], "cap": 2000}, 674),
+], ids=["F4", "A5", "5-3-4"])
+def test_times_is_the_product_of_the_parabolic_split(doc, refused):
+    # _times strips i's descents in g's orbit as parabolic_decompose does,
+    # so it answers p * (q * g), and refuses exactly when that product
+    # leaves the ball
+    case = ct.GroupDescription.from_dict(doc).build()
+    sys, gens = case.system, case.subgroup.gens
+    refusals = 0
+    for w in sys:
+        for g in gens:
+            p, q = ct.parabolic_decompose(w, g.orbit)
+            try:
+                expected = ct.multiply(p, ct.multiply(q, g.elt)).index
+            except OutOfEnumeratedRegion:
+                refusals += 1
+                with pytest.raises(OutOfEnumeratedRegion):
+                    twisted._times(sys, w.index, g)
+                continue
+            assert twisted._times(sys, w.index, g) == expected
+    assert refusals == refused
