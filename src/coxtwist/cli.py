@@ -29,6 +29,15 @@ from .errors import (
 )
 
 
+# the exit code of a library error, by the first row that matches it; any
+# other library error exits 1
+_EXIT_CODES = (
+    ((DescriptionError, MalformedMatrix, AutomorphismError), 2),
+    ((CapExceeded, InfiniteParabolic, OutOfEnumeratedRegion), 3),
+    (BadElementWord, 4),
+)
+
+
 def _read_json(path: str):
     try:
         with open(path) as fh:
@@ -73,9 +82,7 @@ def cmd_cosets(args) -> int:
         rows.append(
             (a.rep.word_string(), str(len(a.members)), str(len(a.min_set)), str(a.min_length))
         )
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    for r in rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    out += verify._columns(rows)
     dist: dict[int, int] = {}
     for a in analyses:
         dist[len(a.min_set)] = dist.get(len(a.min_set), 0) + 1
@@ -182,18 +189,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, _sys.stdout.fileno())
         return 1
-    except (DescriptionError, MalformedMatrix, AutomorphismError) as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 2
-    except (CapExceeded, InfiniteParabolic, OutOfEnumeratedRegion) as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 3
-    except BadElementWord as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 4
     except CoxeterError as e:
         print(f"error: {e}", file=_sys.stderr)
-        return 1
+        return next((code for kinds, code in _EXIT_CODES if isinstance(e, kinds)), 1)
 
 
 def entry() -> None:

@@ -24,7 +24,7 @@ no second table is kept.  One strip of right descents in a generator
 subset (_strip) splits an element by a standard parabolic, for
 parabolic_decompose and for the twisted products of twisted.py.  A walk
 that would leave the enumerated region raises OutOfEnumeratedRegion
-instead of guessing.
+instead of guessing, with the one message of _escapes.
 
 The Bruhat order (bruhat_leq) takes one of two paths, chosen by whether the
 enumeration closed.  A complete group compares by Deodhar's criterion on
@@ -74,6 +74,20 @@ def _chain(table: Sequence[Sequence], last: Sequence, i: int) -> list[int]:
 
 def _not_a_descent(s: int, i: int) -> TheoremViolation:
     return TheoremViolation(f"stored last letter s{s + 1} of element {i} is not a right descent")
+
+
+def _escapes(size: int) -> OutOfEnumeratedRegion:
+    return OutOfEnumeratedRegion(f"product escapes the enumerated ball of {size} elements")
+
+
+def _generator_subset(sys: "CoxeterSystem", J: Iterable[int]) -> frozenset[int]:
+    """J as a set, each member checked to be a generator index of sys
+    before anything compares or sorts them."""
+    J = frozenset(J)
+    for s in J:
+        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < sys.rank:
+            raise ValueError(f"J member {s!r} is not a generator index")
+    return J
 
 
 def _strip(table: Sequence[Sequence], i: int, J: Iterable[int], r) -> tuple:
@@ -237,9 +251,7 @@ class CoxeterSystem:
         for a in letters:
             nxt = table[i][a]
             if nxt is None:
-                raise OutOfEnumeratedRegion(
-                    f"product escapes the enumerated ball of {self.size} elements"
-                )
+                raise _escapes(self.size)
             i = nxt
         return i
 
@@ -252,9 +264,7 @@ class CoxeterSystem:
             s = last[i]
             p = table[p][s]
             if p is None:
-                raise OutOfEnumeratedRegion(
-                    f"product escapes the enumerated ball of {self.size} elements"
-                )
+                raise _escapes(self.size)
             parent = table[i][s]
             if parent is None or parent >= i:
                 raise _not_a_descent(s, i)
@@ -448,25 +458,22 @@ def descents(w: Element, side: str = "right") -> frozenset[int]:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     sys = w.system
-    length = sys.length
-    row = sys._table[w.index]
-    lw = w.length
-    out = []
-    for s in range(sys.rank):
-        if side == "right":
-            # a missing entry means w*s left the ball, hence is longer
-            j = row[s]
-        else:
-            # if s is a left descent, every step of the walk s*w[:k] is
-            # shorter than w or is w itself, so the walk stays in the ball;
-            # leaving it means s*w is longer
+    if side == "right":
+        # a missing entry means w*s left the ball, hence is longer
+        near = sys._table[w.index]
+    else:
+        # if s is a left descent, every step of the walk s*w[:k] is shorter
+        # than w or is w itself, so the walk stays in the ball; leaving it
+        # means s*w is longer.  w's word is read up the table once.
+        word = w.word
+        near = []
+        for s in range(sys.rank):
             try:
-                j = sys._walk(0, (s, *w.word))
+                near.append(sys._walk(0, (s, *word)))
             except OutOfEnumeratedRegion:
-                j = None
-        if j is not None and length[j] < lw:
-            out.append(s)
-    return frozenset(out)
+                near.append(None)
+    length, lw = sys.length, w.length
+    return frozenset(s for s, j in enumerate(near) if j is not None and length[j] < lw)
 
 
 def is_reflection(w: Element) -> bool:
@@ -629,11 +636,7 @@ def parabolic_decompose(w: Element, J: Iterable[int]) -> tuple[Element, Element]
     to the suffix; a strip down to the identity leaves w itself as the
     suffix."""
     sys = w.system
-    J = frozenset(J)
-    for s in J:
-        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < sys.rank:
-            raise ValueError(f"J member {s!r} is not a generator index")
-    p, r = _strip(sys._table, w.index, J, 0)
+    p, r = _strip(sys._table, w.index, _generator_subset(sys, J), 0)
     if not p:
         return Element(sys, 0), w
     return Element(sys, p), Element(sys, sys._walk_inverse(0, r))
@@ -642,11 +645,9 @@ def parabolic_decompose(w: Element, J: Iterable[int]) -> tuple[Element, Element]
 def longest_element(sys: CoxeterSystem, J: Iterable[int]) -> Element:
     """Longest element of the standard parabolic W_J, if it is finite: the
     last member of its closure by enumerate_ball, which lists members in
-    ShortLex order."""
-    J = sorted(set(J))
-    for s in J:
-        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < sys.rank:
-            raise ValueError(f"J member {s!r} is not a generator index")
+    ShortLex order.  J is checked as parabolic_decompose checks it, before
+    it is sorted."""
+    J = sorted(_generator_subset(sys, J))
     row = sys._table[0]
     complete = all(row[s] is not None for s in J)
     if complete:

@@ -48,7 +48,6 @@ from .core import Element
 from .errors import (
     CapExceeded,
     CoxeterError,
-    NotFixed,
     NotMinimal,
     NotSameCoset,
     TheoremViolation,
@@ -402,14 +401,14 @@ def escalation_trace(sub: TwistedSubgroup, u: Element, z: Element) -> Escalation
     """Apply the twisted word of z to minimal u, recording a verdict per step.
 
     Each step either keeps the length (allowed only for even twisted
-    generators) or goes strictly up in the Bruhat order.
+    generators) or goes strictly up in the Bruhat order.  z's twisted word
+    is read first, so a z outside the fixed subgroup raises NotFixed
+    before u is checked.
     """
-    if z not in sub:
-        raise NotFixed(f"{z.word_string()!r} is not in the fixed subgroup")
+    word = tuple(twisted_reduced_word(sub, z))
     if not is_minimal(sub, u):
         raise NotMinimal(f"{u.word_string()!r} is not minimal in its coset")
     sys = sub.system
-    word = tuple(twisted_reduced_word(sub, z))
     steps = []
     prefixes = [u]
     cur = u

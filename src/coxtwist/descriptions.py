@@ -46,13 +46,8 @@ def named_matrix(name: str) -> tuple[tuple, ...]:
         n = int(m.group(1))
         if n < 4:
             raise DescriptionError(f"bad rank in {name!r}")
-        rows = [[2] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 1
-        for i in range(n - 2):
-            rows[i][i + 1] = rows[i + 1][i] = 3
-        rows[n - 3][n - 1] = rows[n - 1][n - 3] = 3
-        return tuple(tuple(r) for r in rows)
+        # the path s1 - ... - s(n-1), then sn, bonded to s(n-2) alone
+        return _path_matrix([3] * (n - 2) + [2], (n - 3, n - 1, 3))
     if name == "F4":
         return _path_matrix([3, 4, 3])
     if name == "H3":
@@ -69,13 +64,15 @@ def named_matrix(name: str) -> tuple[tuple, ...]:
     raise DescriptionError(f"unknown group type {name!r}")
 
 
-def _path_matrix(bonds):
+def _path_matrix(bonds, *extra):
+    """Bond matrix of the path s1 - s2 - ... whose consecutive bonds are
+    ``bonds``, with the further bonds (i, j, m) of ``extra``, 0-based."""
     n = len(bonds) + 1
     rows = [[2] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 1
-    for i, b in enumerate(bonds):
-        rows[i][i + 1] = rows[i + 1][i] = b
+    for i, j, b in [(i, i + 1, b) for i, b in enumerate(bonds)] + list(extra):
+        rows[i][j] = rows[j][i] = b
     return tuple(tuple(r) for r in rows)
 
 

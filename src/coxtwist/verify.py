@@ -56,9 +56,7 @@ from . import core, cosets, twisted
 from .core import CoxeterSystem, Element
 from .cosets import StepVerdict, TwistedSubgroup
 from .descriptions import GroupDescription
-from .errors import (
-    CapExceeded, CoxeterError, DescriptionError, OutOfEnumeratedRegion,
-)
+from .errors import CapExceeded, CoxeterError, DescriptionError
 from .twisted import GeneratorParity
 
 DEFAULT_SEED = 271828
@@ -124,10 +122,7 @@ class VerificationRun:
         rows = [("suite", "system", "checked", "passed", "failed")]
         for r in self.reports:
             rows.append((r.suite, r.system, str(r.checked), str(r.passed), str(len(r.failures))))
-        widths = [max(len(row[i]) for row in rows) for i in range(5)]
-        lines = [f"seed: {self.seed}"]
-        for row in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        lines = [f"seed: {self.seed}", *_columns(rows)]
         errors = sum(r.error is not None for r in self.reports)
         for r in self.reports:
             if r.error is not None:
@@ -143,6 +138,14 @@ class VerificationRun:
             + (f", {errors} error{'s' * (errors > 1)}" if errors else "")
         )
         return "\n".join(lines) + "\n"
+
+
+def _columns(rows: list[tuple[str, ...]]) -> list[str]:
+    """One line per row, each column left-aligned to its widest cell and
+    two spaces from the next, trailing blanks stripped: the table layout of
+    VerificationRun.to_text and of the cosets command."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
 
 
 # -- Bruhat oracle --------------------------------------------------------
@@ -163,9 +166,7 @@ def _column(sys: CoxeterSystem, word) -> list[int]:
     for s in word:
         col = [table[j][s] for j in col]
         if None in col:
-            raise OutOfEnumeratedRegion(
-                f"product escapes the enumerated ball of {sys.size} elements"
-            )
+            raise core._escapes(sys.size)
     return col
 
 

@@ -17,6 +17,7 @@ from coxtwist import (
     OutOfEnumeratedRegion,
     TheoremViolation,
 )
+from coxtwist import verify
 from conftest import F4_MATRIX, a_system, dihedral, down_set
 
 import permutation_models as pm
@@ -702,6 +703,16 @@ def test_longest_element_infinite_parabolic():
         ct.longest_element(sys, (9,))
 
 
+def test_longest_element_checks_J_before_sorting():
+    # 'a' is refused as parabolic_decompose refuses it, before a sort could
+    # compare it with 0
+    a3 = a_system(4)
+    with pytest.raises(ValueError, match="J member 'a' is not a generator index"):
+        ct.longest_element(a3, [0, "a"])
+    with pytest.raises(ValueError, match="J member 'a' is not a generator index"):
+        ct.parabolic_decompose(a3.identity, [0, "a"])
+
+
 def test_a_generator_outside_the_ball_is_refused():
     # A3 at cap 2 holds e and s1 only; gens() once returned Element(sys,
     # None) for s2 and s3, which read as the identity
@@ -740,10 +751,15 @@ def test_walks_escaping_the_region_raise():
     sys = dihedral(INF, cap=10)
     deepest = sys.element(sys.size - 1)
     ascent = 1 - deepest.word[-1]
-    with pytest.raises(OutOfEnumeratedRegion):
-        ct.multiply(deepest, sys.element(sys._table[0][ascent]))
-    with pytest.raises(OutOfEnumeratedRegion):
-        ct.element_from_word(sys, (0, 1) * 5)
+    s = sys._table[0][ascent]
+    # the table walk, the inverse walk and verify's columns share one message
+    for walk in (lambda: ct.multiply(deepest, sys.element(s)),
+                 lambda: ct.element_from_word(sys, (0, 1) * 5),
+                 lambda: sys._walk_inverse(deepest.index, s),
+                 lambda: verify._column(sys, (ascent,))):
+        with pytest.raises(OutOfEnumeratedRegion,
+                           match="^product escapes the enumerated ball of 10 elements$"):
+            walk()
 
 
 def test_system_views(f4):

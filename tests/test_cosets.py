@@ -287,6 +287,9 @@ def test_escalation_trace_rejections(f4_sub):
     top = max(ct.coset(f4_sub, sys.gens()[0]).members, key=lambda w: w.length)
     with pytest.raises(NotMinimal):
         ct.escalation_trace(f4_sub, top, f4_sub.elements[0])
+    # both faults at once: z is judged first
+    with pytest.raises(NotFixed, match="is not in the fixed subgroup"):
+        ct.escalation_trace(f4_sub, top, sys.gens()[0])
 
 
 # -- domination -----------------------------------------------------------------

@@ -35,6 +35,17 @@ def test_named_matrices_frozen():
     assert ct.named_matrix(" F4 ") == ct.named_matrix("F4")
 
 
+def test_named_d_matrices_follow_the_diagram():
+    # D_n: the path s1 - s2 - ... - s(n-1), and sn bonded to s(n-2) alone
+    for n in range(5, 9):
+        bonded = {(i, i + 1) for i in range(n - 2)} | {(n - 3, n - 1)}
+        expected = tuple(
+            tuple(1 if i == j else 3 if (min(i, j), max(i, j)) in bonded else 2 for j in range(n))
+            for i in range(n)
+        )
+        assert ct.named_matrix(f"D{n}") == expected
+
+
 def test_named_matrix_orders():
     # textbook orders pin down the diagram shapes
     expected = {"A4": 120, "B3": 48, "B4": 384, "D4": 192, "D5": 1920, "H3": 120}
