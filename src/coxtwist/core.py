@@ -14,11 +14,17 @@ integer arithmetic (see rings.py); the vectors are discarded once the
 multiplication table is complete.
 
 Every subsequent operation is a walk over that one right-multiplication
-table, so answers are exact.  The table entry w*s of the last letter s of
+table, stored as one column per generator: cols[s][i] is the index of
+element i*s, or -1 where the product leaves a truncated ball.  A column is
+a typed array('i'), 4 bytes an entry, or a list below _LIST_COLUMNS_BELOW
+elements, where a list reads faster.  Python reads col[-1] as the last
+element, so every reader tests an entry for -1 before using it as an
+index.  The table entry w*s of the last letter s of
 w's canonical word is the element whose canonical word drops that letter,
 so a canonical word is read up the table from its end, w = (w*s)*s, one
 stored last letter per step.  One chain reader (_chain) serves W and the
-fixed subgroups of twisted.py, which store their last letters the same way.
+fixed subgroups of twisted.py, whose tables have the same per-generator
+layout and whose last letters are stored the same way.
 An inverse is the walk of that chain from the identity (_walk_inverse), so
 no second table is kept.  One strip of right descents in a generator
 subset (_strip) splits an element by a standard parabolic, for
@@ -53,20 +59,30 @@ from .rings import CosineRing
 DEFAULT_CAP = 100_000
 INF = math.inf
 
+# A read of a typed column makes a new int object, where a list returns the
+# one it holds.  Below this many elements the whole table stays in cache
+# either way, and list columns read faster (one product by a twisted
+# generator, same process, typed against list: A5 swap 639 against 569 ns,
+# F4 swap 882 against 723, B5 with L = {1, 2, 3} 619 against 451); above
+# it, the typed columns keep the table small and read faster from
+# D6 (D6 swap 1042 against 1372 ns, E6 swap 1357 against 1703).
+_LIST_COLUMNS_BELOW = 4096
 
-def _chain(table: Sequence[Sequence], last: Sequence, i: int) -> list[int]:
-    """Letters of i's word, last letter first, read up a table whose row i
-    holds i's products by the generators and last[i] the last letter of
-    i's word (None for the identity, at 0): i = (i*s)*s for s = last[i].
-    W's canonical words and H's twisted words are both read this way.  A
-    real step goes to i's parent, which has a smaller index (position, in
-    H); any other step raises TheoremViolation."""
+
+def _chain(cols: Sequence[Sequence[int]], last: Sequence, i: int) -> list[int]:
+    """Letters of i's word, last letter first, read up a table whose column
+    s holds each element's product by generator s (-1 outside the ball) and
+    last[i] the last letter of i's word (None for the identity, at 0):
+    i = (i*s)*s for s = last[i].  W's canonical words and H's twisted words
+    are both read this way.  A real step goes to i's parent, which has a
+    smaller index (position, in H); any other step raises
+    TheoremViolation."""
     out = []
     while i:
         s = last[i]
         out.append(s)
-        p = table[i][s]
-        if p is None or p >= i:
+        p = cols[s][i]
+        if p < 0 or p >= i:
             raise _not_a_descent(s, i)
         i = p
     return out
@@ -90,25 +106,26 @@ def _generator_subset(sys: "CoxeterSystem", J: Iterable[int]) -> frozenset[int]:
     return J
 
 
-def _strip(table: Sequence[Sequence], i: int, J: Iterable[int], r) -> tuple:
+def _strip(cols: Sequence[Sequence[int]], i: int, J: Iterable[int], r: int) -> tuple[int, int]:
     """(p, r*q^-1) for i = p*q, q in the parabolic W_J and p free of right
     descents in J, so the lengths add (Bjorner-Brenti, Combinatorics of
     Coxeter Groups, Prop. 2.4.4).  i's right descents in J are stripped
     one at a time, and each stripped letter s is applied to r as well,
     r = r*s, so r ends as r*q^-1.  Indices follow ShortLex order, so a
-    smaller neighbour index is the shorter element.
+    smaller neighbour index is the shorter element; -1, a product outside
+    the ball, is the longer one.
     Started at the identity, r ends as q^-1 and passes only through the
     prefixes of q^-1's word, each shorter than i until the strip reaches
     p = e.  A truncated ball holds every length shell below its top one
-    whole, so r can leave it only on that last step, ending as None with
+    whole, so r can leave it only on that last step, ending as -1 with
     q = i; parabolic_decompose returns i itself then."""
     while True:
-        row = table[i]
         for s in J:
-            j = row[s]
-            if j is not None and j < i:
+            col = cols[s]
+            j = col[i]
+            if 0 <= j < i:
                 i = j
-                r = table[r][s]
+                r = col[r]
                 break
         else:
             return i, r
@@ -132,7 +149,7 @@ class Element:
     def word(self) -> tuple[int, ...]:
         """Canonical ShortLex reduced word, 0-based generator indices."""
         sys = self.system
-        letters = _chain(sys._table, sys._last, self.index)
+        letters = _chain(sys._cols, sys._last, self.index)
         letters.reverse()
         return tuple(letters)
 
@@ -180,15 +197,20 @@ class CoxeterSystem:
         length: length of each element by index (ShortLex order).
         words: canonical words by element index, rebuilt from the table on
             each access; no word is stored.
+        _cols: the right-multiplication table, one column per generator,
+            an array('i'), or a list below _LIST_COLUMNS_BELOW elements:
+            _cols[s][i] is the index of element i*s, -1 where that product
+            leaves a truncated ball.
+        _last: the last letter of each canonical word, None for the
+            identity.
     """
 
-    def __init__(self, matrix, cap, length, last, table, complete):
+    def __init__(self, matrix, cap, length, last, cols, complete):
         self.matrix = matrix
         self.cap = cap
         self.length = length
-        # last letter of each canonical word, None for the identity
         self._last = last
-        self._table = table
+        self._cols = cols
         self.complete = complete
         self.rank = len(matrix)
         # not a functools.cached_property: its write through __dict__ slows
@@ -225,13 +247,13 @@ class CoxeterSystem:
     def gens(self) -> tuple[Element, ...]:
         """The generators; one that the cap left out of the ball raises
         OutOfEnumeratedRegion."""
-        row = self._table[0]
-        if None in row:
+        first = [col[0] for col in self._cols]
+        if -1 in first:
             raise OutOfEnumeratedRegion(
-                f"generator s{row.index(None) + 1} lies outside the enumerated ball "
+                f"generator s{first.index(-1) + 1} lies outside the enumerated ball "
                 f"of {self.size} elements"
             )
-        return tuple(Element(self, j) for j in row)
+        return tuple(Element(self, j) for j in first)
 
     def m(self, s: int, t: int):
         return self.matrix[s][t]
@@ -246,27 +268,27 @@ class CoxeterSystem:
     # -- internals ----------------------------------------------------
 
     def _walk(self, start: int, letters) -> int:
-        table = self._table
+        cols = self._cols
         i = start
         for a in letters:
-            nxt = table[i][a]
-            if nxt is None:
+            i = cols[a][i]
+            if i < 0:
                 raise _escapes(self.size)
-            i = nxt
         return i
 
     def _walk_inverse(self, start: int, i: int) -> int:
         """Index of start * (element i)^-1: the walk of i's letters from
         the last, read up the table as _chain reads it, with no list built."""
-        table, last = self._table, self._last
+        cols, last = self._cols, self._last
         p = start
         while i:
             s = last[i]
-            p = table[p][s]
-            if p is None:
+            col = cols[s]
+            p = col[p]
+            if p < 0:
                 raise _escapes(self.size)
-            parent = table[i][s]
-            if parent is None or parent >= i:
+            parent = col[i]
+            if parent < 0 or parent >= i:
                 raise _not_a_descent(s, i)
             i = parent
         return p
@@ -276,17 +298,16 @@ class CoxeterSystem:
         conjugation by generators.  Complete for complete systems."""
         if self._reflection_cache is not None:
             return self._reflection_cache
-        table = self._table
         # a cap may leave a generator out of the ball; it neither seeds nor
         # conjugates
-        gens = [s for s in range(self.rank) if table[0][s] is not None]
-        found = {table[0][s] for s in gens}
+        gens = [(s, col[0]) for s, col in enumerate(self._cols) if col[0] >= 0]
+        found = {g for _, g in gens}
         queue = sorted(found)
         for t in queue:
-            for s in gens:
+            for s, g in gens:
                 # s*t*s = (s * t^-1) * s, t being an involution
                 try:
-                    c = self._walk(self._walk_inverse(table[0][s], t), (s,))
+                    c = self._walk(self._walk_inverse(g, t), (s,))
                 except OutOfEnumeratedRegion:
                     continue
                 if c not in found:
@@ -366,22 +387,29 @@ def build_system(matrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
                             triples.append((j * d + t, s * d + u, k))
         fire.append(triples)
 
-    # An entry still empty when row i fires leads one layer further out
-    # (the shorter neighbours filled theirs when they fired), so a new
+    # An entry still empty when element i fires leads one layer further
+    # out (the shorter neighbours filled theirs when they fired), so a new
     # vector can only match one of the next layer: `seen` holds that layer
-    # alone, and a state is dropped once its row has fired.
+    # alone, and a state is dropped once its element has fired.  Below the
+    # cap each firing is one setdefault, which numbers a new vector `size`;
+    # at the cap a vector not yet seen is refused.  The columns grow a block
+    # at a time and are cut to the size at the end; a small table then
+    # turns them into lists.
     rho = ring.one * n
     length = [0]
     last: list = [None]
-    table: list[list] = [[None] * n]
+    block = array("i", [-1]) * 4096
+    cols = [array("i", block) for _ in range(n)]
+    room = len(block)
+    work = list(zip(range(n), cols, fire))
     states = [rho]
     seen = {}
-    layer = 0
+    layer, above = 0, 1
+    size = 1
     truncated = False
-    # iterating over the indices as they were created keeps one int object
-    # per index in the table; the next layer's length is one int object too
-    queue = [0]
-    for i in queue:
+    for i in range(cap):
+        if i == size:
+            break
         if length[i] > layer:
             if truncated:
                 # the cap is full and refused part of this layer: every
@@ -389,39 +417,47 @@ def build_system(matrix, cap: int = DEFAULT_CAP) -> CoxeterSystem:
                 # elements the cap would refuse too
                 break
             layer = length[i]
+            # one int object for the whole next layer's lengths
+            above = layer + 1
             seen = {}
-        above = layer + 1
-        row = table[i]
         state = states[i]
         states[i] = None
-        for s in range(n):
-            if row[s] is not None:
+        for s, col, triples in work:
+            if col[i] >= 0:
                 continue
             f = list(state)
-            for dst, src, k in fire[s]:
+            for dst, src, k in triples:
                 f[dst] += k * state[src]
             f = tuple(f)
-            j = seen.get(f)
-            if j is None:
-                if len(length) >= cap:
+            if size < cap:
+                j = seen.setdefault(f, size)
+                if j == size:
+                    size += 1
+                    length.append(above)
+                    last.append(s)
+                    states.append(f)
+                    if size > room:
+                        for c in cols:
+                            c += block
+                        room += len(block)
+            else:
+                j = seen.get(f)
+                if j is None:
                     truncated = True
                     continue
-                j = len(length)
-                seen[f] = j
-                length.append(above)
-                last.append(s)
-                states.append(f)
-                table.append([None] * n)
-                queue.append(j)
-            row[s] = j
-            table[j][s] = i
+            col[i] = j
+            col[j] = i
+    for col in cols:
+        del col[size:]
+    if size < _LIST_COLUMNS_BELOW:
+        cols = [col.tolist() for col in cols]
 
     return CoxeterSystem(
         matrix=matrix,
         cap=cap,
         length=length,
         last=last,
-        table=table,
+        cols=cols,
         complete=not truncated,
     )
 
@@ -457,23 +493,25 @@ def descents(w: Element, side: str = "right") -> frozenset[int]:
     """Generators s with len(w*s) < len(w) (right) or len(s*w) < len(w) (left)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    sys = w.system
+    sys, i = w.system, w.index
+    # indices follow ShortLex order, so a neighbour of smaller index is the
+    # shorter one
     if side == "right":
-        # a missing entry means w*s left the ball, hence is longer
-        near = sys._table[w.index]
-    else:
-        # if s is a left descent, every step of the walk s*w[:k] is shorter
-        # than w or is w itself, so the walk stays in the ball; leaving it
-        # means s*w is longer.  w's word is read up the table once.
-        word = w.word
-        near = []
-        for s in range(sys.rank):
-            try:
-                near.append(sys._walk(0, (s, *word)))
-            except OutOfEnumeratedRegion:
-                near.append(None)
-    length, lw = sys.length, w.length
-    return frozenset(s for s, j in enumerate(near) if j is not None and length[j] < lw)
+        # -1 means w*s left the ball, hence is longer
+        return frozenset(s for s, col in enumerate(sys._cols) if 0 <= col[i] < i)
+    # if s is a left descent, every step of the walk s*w[:k] is shorter
+    # than w or is w itself, so the walk stays in the ball; leaving it
+    # means s*w is longer.  w's word is read up the table once.
+    word = w.word
+    out = []
+    for s in range(sys.rank):
+        try:
+            j = sys._walk(0, (s, *word))
+        except OutOfEnumeratedRegion:
+            continue
+        if j < i:
+            out.append(s)
+    return frozenset(out)
 
 
 def is_reflection(w: Element) -> bool:
@@ -528,32 +566,31 @@ def _quotients(sys: CoxeterSystem):
     the length and membership tests change no mask; they keep the lists
     short.
     A stored last letter that is not a descent raises TheoremViolation,
-    caching nothing.
+    caching nothing.  A complete table has no -1 entry, so no entry is
+    tested for one.
     """
-    table, last, length = sys._table, sys._last, sys.length
+    cols, last, length = sys._cols, sys._last, sys.length
     n, size = sys.rank, sys.size
     code = "H" if size <= 65536 else "i"
     proj = [array(code, [0]) * size for _ in range(n)]
     members = [[0] for _ in range(n)]
     for i in range(1, size):
         s = last[i]
-        row = table[i]
-        p = row[s]
+        p = cols[s][i]
         if p >= i:
             raise _not_a_descent(s, i)
         # copying k = s too, then overwriting it, is faster than a test
         for pk in proj:
             pk[i] = pk[p]
         pk = proj[s]
-        for t in range(n):
-            if t != s and row[t] < i:
-                pk[i] = pk[row[t]]
+        for t, col in enumerate(cols):
+            if t != s and (q := col[i]) < i:
+                pk[i] = pk[q]
                 break
         else:
             pk[i] = len(members[s])
             members[s].append(i)
 
-    e = table[0]
     below = []
     for k in range(n):
         pk, mk = proj[k], members[k]
@@ -561,14 +598,14 @@ def _quotients(sys: CoxeterSystem):
         lower = [[]]
         masks = [1]
         for a in range(1, len(mk)):
-            word = _chain(table, last, mk[a])
+            word = _chain(cols, last, mk[a])
             word.reverse()
             words.append(word)
             s = word[0]
             b = pk[sys._walk(0, word[1:])]
             down = [b]
             for c in lower[b]:
-                sc = sys._walk(e[s], words[c])
+                sc = sys._walk(cols[s][0], words[c])
                 if length[sc] > length[mk[c]] and mk[pk[sc]] == sc:
                     down.append(pk[sc])
             lower.append(down)
@@ -611,20 +648,21 @@ def bruhat_leq(u: Element, w: Element) -> bool:
             if not bk[pk[iw]] >> pk[iu] & 1:
                 return False
         return True
-    table, last = sys._table, sys._last
+    cols, last = sys._cols, sys._last
     while iu != iw:
         if lu >= lw:
             return False
         lw -= 1
         s = last[iw]
-        p = table[iw][s]
-        if p is None or p >= iw:
+        col = cols[s]
+        p = col[iw]
+        if p < 0 or p >= iw:
             raise _not_a_descent(s, iw)
         iw = p
-        # a missing entry means u*s left the ball, hence is longer; indices
-        # follow ShortLex order, so a smaller index is the shorter neighbour
-        us = table[iu][s]
-        if us is not None and us < iu:
+        # -1 means u*s left the ball, hence is longer; indices follow
+        # ShortLex order, so a smaller index is the shorter neighbour
+        us = col[iu]
+        if 0 <= us < iu:
             iu, lu = us, lu - 1
     return True
 
@@ -636,7 +674,7 @@ def parabolic_decompose(w: Element, J: Iterable[int]) -> tuple[Element, Element]
     to the suffix; a strip down to the identity leaves w itself as the
     suffix."""
     sys = w.system
-    p, r = _strip(sys._table, w.index, _generator_subset(sys, J), 0)
+    p, r = _strip(sys._cols, w.index, _generator_subset(sys, J), 0)
     if not p:
         return Element(sys, 0), w
     return Element(sys, p), Element(sys, sys._walk_inverse(0, r))
@@ -648,10 +686,10 @@ def longest_element(sys: CoxeterSystem, J: Iterable[int]) -> Element:
     ShortLex order.  J is checked as parabolic_decompose checks it, before
     it is sorted."""
     J = sorted(_generator_subset(sys, J))
-    row = sys._table[0]
-    complete = all(row[s] is not None for s in J)
+    first = [sys._cols[s][0] for s in J]
+    complete = -1 not in first
     if complete:
-        members, complete = enumerate_ball(sys, [Element(sys, row[s]) for s in J])
+        members, complete = enumerate_ball(sys, [Element(sys, j) for j in first])
     if not complete:
         raise InfiniteParabolic("parabolic subgroup does not close within the enumerated region")
     if len(members) > 1 and members[-2].length == members[-1].length:

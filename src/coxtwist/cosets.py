@@ -191,7 +191,7 @@ class _CosetPartition:
         if zb:
             node, table, last = [zb] * h, self.table, self.last
             for z, parent, _ in self.tree:
-                node[z] = table[node[parent]][last[z]]
+                node[z] = table[last[z]][node[parent]]
             at = [at[k] for k in node]
         lo = len(self.at)
         for z, j in enumerate(at):
@@ -334,9 +334,9 @@ def coset(sub: TwistedSubgroup, u: Element) -> CosetAnalysis:
     mins = members[:k]
     edges = []
     for w in mins:
-        row = sub.table[part.slot[w.index] - lo]
-        for a, g in enumerate(sub.gens):
-            v = Element(sys, part.at[lo + row[a]])
+        z = part.slot[w.index] - lo
+        for col, g in zip(sub.table, sub.gens):
+            v = Element(sys, part.at[lo + col[z]])
             if part.is_min_in(lo, v) and w.index < v.index:
                 edges.append((w, v, g))
     edges.sort(key=lambda e: (e[0].index, e[1].index))
@@ -437,7 +437,7 @@ def _domination_steps(
     path = []
     for a in core._chain(sub.table, sub.last, z):
         path.append((lo + z, sub.gens[a]))
-        z = sub.table[z][a]
+        z = sub.table[a][z]
     length = sys.length
     steps = []
     p = lo

@@ -8,13 +8,13 @@ finite m(s, t) contributes the longest element of the dihedral on {s, t}.
 Pairs with m = infinity contribute nothing and are reported as skipped.
 Every product by a twisted generator goes through _times.  The fixed
 subgroup is stored like W: ShortLex-ordered members, one table of products
-by the generators and, beside it, the last letter of each member's greedy
-twisted word, all filled by one closure of the identity.  Greedy twisted
-words are prefix-closed, word(z) = word(z*g) + (g,) for g the last letter,
-so they form a tree rooted at the identity (_word_tree).  Words and
-quotients z^-1 * z' (_quotient) are read up that tree by W's chain reader,
-core._chain.  Cosets x * H are filled down the tree, and the verify suites
-walk it.
+with one column per generator and, beside it, the last letter of each
+member's greedy twisted word, all filled by one closure of the identity.
+Greedy twisted words are prefix-closed, word(z) = word(z*g) + (g,) for g
+the last letter, so they form a tree rooted at the identity (_word_tree).
+Words and quotients z^-1 * z' (_quotient) are read up that tree by W's
+chain reader, core._chain.  Cosets x * H are filled down the tree, and the
+verify suites walk it.
 """
 from __future__ import annotations
 
@@ -85,17 +85,20 @@ def _times(sys: CoxeterSystem, i: int, g: TwistedGenerator) -> int:
     in the ball, and q*g = r^-1 is walked up r's chain
     (CoxeterSystem._walk_inverse).
     """
-    p, r = core._strip(sys._table, i, g.orbit, g.elt.index)
+    p, r = core._strip(sys._cols, i, g.orbit, g.elt.index)
     return sys._walk_inverse(p, r)
 
 
 @dataclass(frozen=True)
 class TwistedSubgroup:
-    """The fixed subgroup of theta on W_L, members in ShortLex order,
-    table[z][a] the position of elements[z] * gens[a] and last[z] the
-    generator position of the last letter of z's greedy twisted word (None
-    for the identity), so table[z][last[z]] is z's parent.  Generators are
-    named by position, so a copy with other gens reads its own."""
+    """The fixed subgroup of theta on W_L, members in ShortLex order.
+
+    table has W's per-generator layout, one column per generator:
+    table[a][z] is the position of elements[z] * gens[a].  H is complete,
+    so no entry is -1.  last[z] is the generator position of the last
+    letter of z's greedy twisted word (None for the identity), so
+    table[last[z]][z] is z's parent.  Generators are named by position, so
+    a copy with other gens reads its own."""
 
     system: CoxeterSystem
     theta: DiagramAutomorphism
@@ -126,7 +129,7 @@ def _quotient(sub: TwistedSubgroup, x: int, y: int) -> int:
     table, last = sub.table, sub.last
     p = 0
     for g in core._chain(table, last, x) + core._chain(table, last, y)[::-1]:
-        p = table[p][g]
+        p = table[g][p]
     return p
 
 
@@ -137,7 +140,7 @@ def _word_tree(sub: TwistedSubgroup) -> list[tuple[int, int, TwistedGenerator]]:
     corrupted entry reaches every walk."""
     table, gens = sub.table, sub.gens
     # position 0 is the identity, the root
-    return [(z, table[z][a], gens[a]) for z, a in enumerate(sub.last) if z]
+    return [(z, table[a][z], gens[a]) for z, a in enumerate(sub.last) if z]
 
 
 def validate_automorphism(sys: CoxeterSystem, L: Iterable[int], mapping: Mapping[int, int]) -> DiagramAutomorphism:
@@ -243,30 +246,32 @@ def enumerate_fixed_subgroup(theta: DiagramAutomorphism) -> TwistedSubgroup:
     sys = theta.system
     gens = twisted_generators(theta)
     length = sys.length
-    found, rows, last, seen, heap = [], [], [], {0}, [0]
+    found, last, seen, heap = [], [], {0}, [0]
+    cols = [[] for _ in gens]
     try:
         while heap:
             i = heapq.heappop(heap)
-            row = [_times(sys, i, g) for g in gens]
+            prods = [_times(sys, i, g) for g in gens]
             # indices follow ShortLex order: a smaller product is shorter
-            a = next((a for a, j in enumerate(row) if j < i), None)
-            if i and (a is None or length[i] - length[row[a]] != gens[a].elt.length):
+            a = next((a for a, j in enumerate(prods) if j < i), None)
+            if i and (a is None or length[i] - length[prods[a]] != gens[a].elt.length):
                 raise TheoremViolation(
                     f"fixed element {sys.element(i).word_string()!r} has no first descent "
                     "that drops the whole generator length"
                 )
-            for j in row:
+            for j in prods:
                 if j not in seen:
                     seen.add(j)
                     heapq.heappush(heap, j)
             found.append(i)
-            rows.append(row)
+            for col, j in zip(cols, prods):
+                col.append(j)
             last.append(a)
     except OutOfEnumeratedRegion as e:
         raise CapExceeded(f"fixed subgroup did not close within {sys.cap} elements") from e
     at = {i: k for k, i in enumerate(found)}
     elements = tuple(Element(sys, i) for i in found)
-    table = tuple(tuple(at[j] for j in row) for row in rows)
+    table = tuple(tuple(at[j] for j in col) for col in cols)
     return TwistedSubgroup(
         sys, theta, tuple(gens), skipped_orbits(theta), elements, table, tuple(last)
     )

@@ -160,12 +160,14 @@ _MASKS: weakref.WeakKeyDictionary[
 
 def _column(sys: CoxeterSystem, word) -> list[int]:
     """col[i] is the index of element i times ``word``, composed from the
-    generator columns of the table one letter at a time."""
-    table = sys._table
+    generator columns of the table one letter at a time; a -1, a product
+    outside the ball, raises before it is read as an index."""
+    cols = sys._cols
     col = list(range(sys.size))
     for s in word:
-        col = [table[j][s] for j in col]
-        if None in col:
+        c = cols[s]
+        col = [c[j] for j in col]
+        if -1 in col:
             raise core._escapes(sys.size)
     return col
 
@@ -195,14 +197,20 @@ def _below_masks(sys: CoxeterSystem) -> list[int]:
         return entry[0]
     if not sys.complete:
         raise CapExceeded("the Bruhat oracle needs a fully enumerated group")
-    table, last, length = sys._table, sys._last, sys.length
+    # a complete table has no -1 entry to test for.  Each read of a typed
+    # column makes a new int object, so the covers are read through `ids`,
+    # which holds one per index: E6's 459588 covers would otherwise take
+    # about 15 MB of their own.
+    cols, last, length = sys._cols, sys._last, sys.length
+    ids = list(range(sys.size))
     lower = [[]]
     for i in range(1, sys.size):
         s = last[i]
-        p = table[i][s]
+        col = cols[s]
+        p = ids[col[i]]
         if length[p] != length[i] - 1:
             raise core._not_a_descent(s, i)
-        lower.append([p] + [cs for c in lower[p] if (cs := table[c][s]) > c])
+        lower.append([p] + [ids[cs] for c in lower[p] if (cs := col[c]) > c])
     below = _down_closure(lower, range(sys.size))
     _MASKS[sys] = (below, lower)
     return below
@@ -355,35 +363,37 @@ def check_generator_parity(sub: TwistedSubgroup, label: str = "") -> Verificatio
 def check_fixed_subgroup_equality(sub: TwistedSubgroup, label: str = "") -> VerificationReport:
     """The closure of the twisted generators equals the fixed-point set of
     theta on the parabolic W_L.  One breadth-first pass over the table finds
-    W_L and the image of each member, image[i*s] = image[i] * theta(s)."""
+    W_L, in queue, and the image of each member, image[i*s] =
+    image[i] * theta(s), -1 outside W_L."""
     sys = sub.system
-    table = sys._table
+    cols = sys._cols
     theta = sub.theta
-    moves = [(s, theta(s)) for s in sorted(theta.L)]
-    image = {0: 0}
+    moves = [(cols[s], cols[theta(s)]) for s in sorted(theta.L)]
+    image = [-1] * sys.size
+    image[0] = 0
     queue = [0]
     for i in queue:
-        row, image_row = table[i], table[image[i]]
-        for s, ts in moves:
-            j = row[s]
-            if j in image:
+        k0 = image[i]
+        for col, image_col in moves:
+            j = col[i]
+            if j >= 0 and image[j] >= 0:
                 continue
-            k = image_row[ts]
-            if j is None or k is None:
+            k = image_col[k0]
+            if j < 0 or k < 0:
                 raise CapExceeded("W_L did not close within the enumerated region")
             image[j] = k
             queue.append(j)
     positions = sub._positions
     failures = [
         (sys.element(w).word_string(),)
-        for w in sorted(image)
+        for w in sorted(queue)
         if (image[w] == w) != (w in positions)
     ]
     for z in sub.elements:
-        if z.index not in image:
+        if image[z.index] < 0:
             failures.append((z.word_string(),))
     return VerificationReport(
-        "fixed-subgroup-equality", label, len(image), tuple(failures)
+        "fixed-subgroup-equality", label, len(queue), tuple(failures)
     )
 
 

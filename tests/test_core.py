@@ -17,7 +17,7 @@ from coxtwist import (
     OutOfEnumeratedRegion,
     TheoremViolation,
 )
-from coxtwist import verify
+from coxtwist import twisted, verify
 from conftest import F4_MATRIX, a_system, dihedral, down_set
 
 import permutation_models as pm
@@ -75,14 +75,14 @@ def test_infinite_groups_truncate():
 ], ids=["5-3-4", "affine A3", "A3 23", "A3 1"])
 def test_a_smaller_cap_cuts_the_larger_ball(matrix, small, big):
     # the cap-small ball is the cap-big ball restricted to its first small
-    # indices, with every entry past them read as None
+    # indices, with every entry past them read as -1
     cut, ball = ct.build_system(matrix, cap=small), ct.build_system(matrix, cap=big)
     assert cut.size == small < ball.size
     assert not cut.complete
     assert cut.length == ball.length[:small]
     assert cut._last == ball._last[:small]
-    assert cut._table == [
-        [j if j is not None and j < small else None for j in row] for row in ball._table[:small]
+    assert [list(col) for col in cut._cols] == [
+        [j if j < small else -1 for j in col[:small]] for col in ball._cols
     ]
 
 
@@ -108,10 +108,10 @@ def test_enumeration_is_shortlex_ordered_and_prefix_closed():
 def test_table_is_reciprocal():
     # generators are involutions, so following s twice returns
     sys = a_system(4)
-    for i in range(sys.size):
-        for s in range(sys.rank):
-            j = sys._table[i][s]
-            assert j is not None and sys._table[j][s] == i
+    for col in sys._cols:
+        for i in range(sys.size):
+            j = col[i]
+            assert j >= 0 and col[j] == i
 
 
 def test_mixed_bond_parabolics_close_inside_truncated_system():
@@ -127,8 +127,10 @@ def test_mixed_bond_parabolics_close_inside_truncated_system():
 
 # The enumeration pinned on a fixed ladder: sha256 of
 # repr((words, table, complete)), frozen from the closure that told
-# elements apart by their reflection matrices.  The orbit-vector closure
-# must reproduce it entry for entry.
+# elements apart by their reflection matrices, when the table was one list
+# per element with None for a product outside the ball.  The orbit-vector
+# closure must reproduce it entry for entry: the digest hashes that row
+# form, rebuilt from the columns.
 E6_MATRIX = (
     (1, 2, 3, 2, 2, 2),
     (2, 1, 2, 3, 2, 2),
@@ -172,9 +174,15 @@ def ladder():
     return {name: ct.build_system(m, cap=cap) for name, (m, cap) in LADDER.items()}
 
 
+def table_rows(sys):
+    """The table as one list per element, None for a product outside the
+    ball: the form FROZEN_DIGESTS hashes."""
+    return [[None if (j := col[i]) < 0 else j for col in sys._cols] for i in range(sys.size)]
+
+
 def test_enumeration_matches_frozen_digests(ladder):
     found = {
-        name: hashlib.sha256(repr((sys.words, sys._table, sys.complete)).encode()).hexdigest()
+        name: hashlib.sha256(repr((sys.words, table_rows(sys), sys.complete)).encode()).hexdigest()
         for name, sys in ladder.items()
     }
     assert found == FROZEN_DIGESTS
@@ -185,14 +193,14 @@ def test_finite_tables_satisfy_the_coxeter_relations(ladder):
     finite = [sys for sys in ladder.values() if sys.complete]
     assert len(finite) == 8
     for sys in finite:
-        table = sys._table
+        cols = sys._cols
         pairs = [(s, t, sys.m(s, t)) for s in range(sys.rank) for t in range(s + 1, sys.rank)]
-        for i, row in enumerate(table):
-            assert all(table[row[s]][s] == i for s in range(sys.rank))
+        for i in range(sys.size):
+            assert all(col[col[i]] == i for col in cols)
             for s, t, m in pairs:
                 j = i
                 for _ in range(m):
-                    j = table[table[j][s]][t]
+                    j = cols[t][cols[s][j]]
                 assert j == i
 
 
@@ -245,7 +253,7 @@ def test_a_stored_last_letter_that_is_not_a_descent_raises():
     # raises, and still stores nothing
     sys = ct.build_system(F4_MATRIX)
     w = sys.size // 2
-    ascent = next(s for s in range(sys.rank) if sys._table[w][s] > w)
+    ascent = next(s for s in range(sys.rank) if sys._cols[s][w] > w)
     sys._last[w] = ascent
     for _ in range(2):
         with pytest.raises(TheoremViolation, match=f"s{ascent + 1} of element {w} "):
@@ -263,17 +271,23 @@ def test_a_stored_last_letter_that_is_not_a_descent_raises():
 
 
 def test_build_keeps_no_word_per_element():
-    # the table, lengths and last letters; a word tuple per element would
-    # add about 8 MB
-    tracemalloc.start()
-    try:
-        sys = ct.build_system(E6_MATRIX)
-        gc.collect()
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sys.order == 51840
-    assert retained < 12_000_000
+    # one 4-byte column entry per generator and element, beside the lengths
+    # and last letters: about 2.2 MB on E6 and 1.7 MB on the ball.  A word
+    # tuple per element would add about 8 MB, and a Python row per element
+    # about 6 MB on E6 and 5.4 MB on the ball
+    for matrix, cap, size, bound in [
+        (E6_MATRIX, ct.DEFAULT_CAP, 51840, 4_000_000),
+        (LADDER["5-3-4"][0], 50000, 50000, 3_000_000),
+    ]:
+        tracemalloc.start()
+        try:
+            sys = ct.build_system(matrix, cap=cap)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sys.size == size
+        assert retained < bound
 
 
 def test_infinite_balls_count_elements_by_length(ladder):
@@ -751,7 +765,7 @@ def test_walks_escaping_the_region_raise():
     sys = dihedral(INF, cap=10)
     deepest = sys.element(sys.size - 1)
     ascent = 1 - deepest.word[-1]
-    s = sys._table[0][ascent]
+    s = sys._cols[ascent][0]
     # the table walk, the inverse walk and verify's columns share one message
     for walk in (lambda: ct.multiply(deepest, sys.element(s)),
                  lambda: ct.element_from_word(sys, (0, 1) * 5),
@@ -760,6 +774,75 @@ def test_walks_escaping_the_region_raise():
         with pytest.raises(OutOfEnumeratedRegion,
                            match="^product escapes the enumerated ball of 10 elements$"):
             walk()
+
+
+def _answer_or_refusal(read, *args):
+    try:
+        return read(*args)
+    except OutOfEnumeratedRegion:
+        return OutOfEnumeratedRegion
+
+
+BALL_THETAS = [((0, 1, 2, 3), {}), ((0, 1), {0: 1, 1: 0}), ((2, 3), {2: 3, 3: 2})]
+
+
+@pytest.mark.parametrize("matrix, small, big, thetas", [
+    (LADDER["5-3-4"][0], 2000, 20000, BALL_THETAS),
+    (LADDER["5-3-4"][0], 5000, 20000, BALL_THETAS),
+    (((1, INF), (INF, 1)), 10, 100, [((0, 1), {})]),
+], ids=["5-3-4", "5-3-4 typed", "dihedral inf"])
+def test_a_smaller_ball_answers_as_the_larger_one_or_refuses(matrix, small, big, thetas):
+    # the small ball is the big ball's first indices, so an answer of the
+    # small ball is the big ball's answer or a refusal, never another
+    # index: a product outside the small ball is -1 in its table, which
+    # Python would read as its last element.  Cap 5000 keeps typed
+    # columns, the smaller caps list columns (core._LIST_COLUMNS_BELOW).
+    cut, ball = ct.build_system(matrix, cap=small), ct.build_system(matrix, cap=big)
+    assert cut.size == small and not ball.complete
+    assert isinstance(cut._cols[0], list) == (small < ct.core._LIST_COLUMNS_BELOW)
+    gens = [
+        pair for L, mapping in thetas
+        for pair in zip(*(ct.twisted_generators(ct.validate_automorphism(sys, L, mapping))
+                          for sys in (cut, ball)))
+    ]
+    J_all = [J for J in subsets(range(cut.rank)) if J]
+    starts = (0, small - 1, small - 2)
+    ws = sorted({*range(small)[-12:], *random.Random(5).sample(range(small), min(small, 20))})
+    refused = Counter()
+
+    def same(name, on_cut, on_ball):
+        got = on_cut()
+        if got is OutOfEnumeratedRegion:
+            refused[name] += 1
+        else:
+            assert got == on_ball(), name
+
+    letters = [(s,) for s in range(cut.rank)] + [(s, t) for s in range(cut.rank)
+                                                 for t in range(cut.rank) if s != t]
+    for i in range(small):
+        u, v = cut.element(i), ball.element(i)
+        assert u.word == v.word
+        for word in letters:
+            same("walk", lambda: _answer_or_refusal(cut._walk, i, word),
+                 lambda: ball._walk(i, word))
+        for start in starts:
+            same("walk_inverse", lambda: _answer_or_refusal(cut._walk_inverse, start, i),
+                 lambda: ball._walk_inverse(start, i))
+        for J in J_all:
+            p, q = ct.parabolic_decompose(u, J)
+            assert (p.index, q.index) == tuple(x.index for x in ct.parabolic_decompose(v, J))
+        for g, h in gens:
+            same("times", lambda: _answer_or_refusal(twisted._times, cut, i, g),
+                 lambda: twisted._times(ball, i, h))
+        for side in ("left", "right"):
+            assert ct.descents(u, side) == ct.descents(v, side)
+        for w in ws:
+            assert ct.bruhat_leq(u, cut.element(w)) == ct.bruhat_leq(v, ball.element(w))
+    for word in letters:
+        same("column", lambda: _answer_or_refusal(verify._column, cut, word),
+             lambda: [ball._walk(i, word) for i in range(small)])
+    # every reader that can refuse did refuse somewhere, so the guards ran
+    assert set(refused) == {"walk", "walk_inverse", "times", "column"}
 
 
 def test_system_views(f4):

@@ -119,7 +119,7 @@ def test_corrupt_last_letter_stops_the_oracle(monkeypatch):
     case = ct.GroupDescription.from_dict({"type": "F4"}).build()
     sys = case.system
     w = sys.size // 2
-    ascent = next(s for s in range(sys.rank) if sys._table[w][s] > w)
+    ascent = next(s for s in range(sys.rank) if sys._cols[s][w] > w)
     sys._last[w] = ascent
     with pytest.raises(ct.TheoremViolation, match=f"s{ascent + 1} of element {w} "):
         verify._below_masks(sys)
@@ -332,10 +332,10 @@ def test_corrupt_reduced_word_memo_is_detected(monkeypatch):
     ct.all_cosets(sub)
     # the longest element's descent entry points at the identity, so its
     # word now reads as elements[1]'s, a single generator
-    table = [list(row) for row in sub.table]
-    top = len(table) - 1
-    a = next(a for a, p in enumerate(table[top]) if p < top)
-    table[top][a] = 0
+    table = [list(col) for col in sub.table]
+    top = sub.order - 1
+    a = next(a for a, col in enumerate(table) if col[top] < top)
+    table[a][top] = 0
     assert [sub.gens[a]] == ct.twisted_reduced_word(sub, sub.elements[1])
     object.__setattr__(sub, "table", tuple(map(tuple, table)))
     assert ct.twisted_reduced_word(sub, sub.elements[-1]) == [sub.gens[a]]
